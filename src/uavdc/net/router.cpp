@@ -19,30 +19,12 @@ namespace {
 
 constexpr std::size_t kReadChunk = 64u * 1024;
 
-struct ClientConn {
-    Socket sock;
-    FrameDecoder decoder;
-    std::string outbuf;
-    std::uint64_t submitted{0};
-    std::uint64_t delivered{0};
-    struct DrainWait {
-        std::uint64_t threshold;
-        std::string id;
-        bool length_prefixed;
-    };
-    std::vector<DrainWait> drains;
-    bool read_eof{false};
-    bool dead{false};
-
-    ClientConn(Socket s, std::size_t max_frame)
-        : sock(std::move(s)), decoder(max_frame) {}
-};
-
 /// One forwarded-but-unanswered request. Entries leave the table only when
 /// their response is handed to the client (or the client is gone), which is
 /// exactly the exactly-once bookkeeping the resend path relies on.
 struct PendingReq {
-    std::uint64_t client_id{0};
+    Front::ConnId client_id{0};
+    std::string id;     ///< the client's request id (untagged)
     std::size_t shard{0};
     bool client_lp{false};
     bool sent{false};   ///< appended to a live upstream at least once
@@ -61,50 +43,158 @@ struct Upstream {
     explicit Upstream(std::size_t max_frame) : decoder(max_frame) {}
 };
 
-}  // namespace
-
-Router::RunResult Router::run() {
-    RunResult result;
-    TransportStats& t = result.transport;
-
-    const bool managed = cfg_.endpoints.empty();
-    const std::size_t nshards =
-        managed ? static_cast<std::size_t>(cfg_.shards)
-                : cfg_.endpoints.size();
-    UAVDC_REQUIRE(nshards > 0) << "router: need --shards or endpoints";
-
-    std::vector<std::unique_ptr<Upstream>> shards;
-    for (std::size_t i = 0; i < nshards; ++i) {
-        shards.push_back(std::make_unique<Upstream>(cfg_.max_frame_bytes));
-        if (!managed) {
-            shards[i]->endpoint_port = cfg_.endpoints[i];
+/// The router role: plan requests are tagged `seq#id` and forwarded to a
+/// shard upstream; shard responses are de-tagged and delivered. Its own
+/// poll descriptors are the shard sockets and the managed children's
+/// stdout pipes.
+class RouteRole final : public Front::Role {
+  public:
+    explicit RouteRole(const RouterConfig& cfg)
+        : cfg_(cfg),
+          managed_(cfg.endpoints.empty()),
+          front_(cfg, *this),
+          t_(front_.transport()) {
+        const std::size_t nshards =
+            managed_ ? static_cast<std::size_t>(cfg_.shards)
+                     : cfg_.endpoints.size();
+        UAVDC_REQUIRE(nshards > 0) << "router: need --shards or endpoints";
+        for (std::size_t i = 0; i < nshards; ++i) {
+            shards_.push_back(std::make_unique<Upstream>(cfg_.max_frame_bytes));
+            if (!managed_) shards_[i]->endpoint_port = cfg_.endpoints[i];
         }
     }
 
-    std::map<std::uint64_t, PendingReq> pending;
-    std::uint64_t next_seq = 1;
+    Front& front() { return front_; }
 
-    const auto shard_argv = [&](std::size_t i) {
+    /// Initial bring-up: every shard must come up before we take traffic.
+    void bring_up() {
+        for (std::size_t i = 0; i < shards_.size(); ++i) {
+            int attempts = 0;
+            while (!revive(i)) {
+                if (++attempts > 50) {
+                    throw std::runtime_error(
+                        "router: shard " + std::to_string(i) +
+                        " failed to start");
+                }
+                std::vector<PollEntry> none;
+                poll_wait(none, 100);  // plain sleep between attempts
+            }
+        }
+    }
+
+    /// SIGTERM every managed worker; true when all of them exit 0.
+    bool reap_children() {
+        if (!managed_) return true;
+        for (auto& u : shards_) {
+            if (u->pid > 0) signal_child(u->pid, SIGTERM);
+        }
+        bool clean = true;
+        for (auto& u : shards_) {
+            if (u->pid > 0 && wait_child(u->pid) != 0) clean = false;
+        }
+        return clean;
+    }
+
+    bool request(Front::ConnId conn, io::Json& doc, const std::string& id,
+                 bool length_prefixed, bool shed) override {
+        if (!doc.is_object()) {
+            front_.answer(conn, id, service::ResponseStatus::kBadRequest,
+                          "request must be a JSON object", length_prefixed);
+            return false;
+        }
+        if (shed) {
+            front_.answer(conn, id, service::ResponseStatus::kShutdown,
+                          "router draining; request was not forwarded",
+                          length_prefixed);
+            return false;
+        }
+        const std::size_t shard = shard_of(doc);
+        const std::uint64_t seq = next_seq_++;
+        doc["id"] = std::to_string(seq) + "#" + id;
+        PendingReq p;
+        p.client_id = conn;
+        p.id = id;
+        p.shard = shard;
+        p.client_lp = length_prefixed;
+        p.wire = encode_frame(doc.dump(), /*length_prefixed=*/true);
+        if (shards_[shard]->up) {
+            shards_[shard]->outbuf += p.wire;
+            p.sent = true;
+        }
+        pending_.emplace(seq, std::move(p));
+        return true;
+    }
+
+    io::Json stats() override {
+        io::Json stats;
+        stats["shards"] = shards_.size();
+        stats["pending"] = pending_.size();
+        return stats;
+    }
+
+    void tick(bool stopping) override {
+        for (std::size_t i = 0; i < shards_.size(); ++i) {
+            if (shards_[i]->up) continue;
+            if (stopping) {
+                answer_pending_shutdown(i);
+            } else {
+                (void)revive(i);
+            }
+        }
+    }
+
+    void poll_set(std::vector<PollEntry>& entries) override {
+        tags_.clear();
+        for (std::size_t i = 0; i < shards_.size(); ++i) {
+            Upstream& u = *shards_[i];
+            if (u.up) {
+                PollEntry e;
+                e.fd = u.sock.fd();
+                e.want_read = true;
+                e.want_write = !u.outbuf.empty();
+                entries.push_back(e);
+                tags_.emplace_back(i, false);
+            }
+            if (managed_ && u.child_out.valid()) {
+                entries.push_back(
+                    {u.child_out.fd(), true, false, false, false, false});
+                tags_.emplace_back(i, true);
+            }
+        }
+    }
+
+    void on_poll(const std::vector<PollEntry>& entries) override {
+        for (std::size_t k = 0; k < tags_.size(); ++k) {
+            const auto [i, child_out] = tags_[k];
+            if (child_out) {
+                if (entries[k].readable) drain_child_out(i);
+            } else {
+                serve_shard(i, entries[k]);
+            }
+        }
+    }
+
+  private:
+    std::vector<std::string> shard_argv(std::size_t i) const {
         std::vector<std::string> argv{self_exe_path(), "serve", "--tcp",
                                       "--host=" + cfg_.host, "--port=0",
                                       "--announce"};
         if (cfg_.shard_workers > 0) {
-            argv.push_back("--workers=" +
-                           std::to_string(cfg_.shard_workers));
+            argv.push_back("--workers=" + std::to_string(cfg_.shard_workers));
         }
         if (!cfg_.repo_dir.empty()) {
             argv.push_back("--repo=" + cfg_.repo_dir + "/shard-" +
                            std::to_string(i) + ".jsonl");
         }
         return argv;
-    };
+    }
 
     /// (Re)connect shard `i`, resending everything still pending for it.
     /// Returns false (shard stays down) on any failure — the next loop
     /// iteration retries, paced by the poll timeout.
-    const auto revive = [&](std::size_t i) {
-        Upstream& u = *shards[i];
-        if (managed && !child_alive(u.pid)) {
+    bool revive(std::size_t i) {
+        Upstream& u = *shards_[i];
+        if (managed_ && !child_alive(u.pid)) {
             const bool had_child = u.pid > 0;
             ChildProcess child;
             try {
@@ -115,8 +205,7 @@ Router::RunResult Router::run() {
             child.stdout_rd.set_nonblocking(true);
             const auto line =
                 read_line(child.stdout_rd, cfg_.spawn_timeout_ms);
-            if (!line.has_value() ||
-                line->rfind("LISTENING ", 0) != 0) {
+            if (!line.has_value() || line->rfind("LISTENING ", 0) != 0) {
                 signal_child(child.pid, SIGKILL);
                 (void)wait_child(child.pid);
                 return false;
@@ -124,7 +213,7 @@ Router::RunResult Router::run() {
             u.pid = child.pid;
             u.child_out = std::move(child.stdout_rd);
             u.endpoint_port = std::stoi(line->substr(10));
-            if (had_child) ++t.shard_respawns;
+            if (had_child) ++t_.shard_respawns;
         }
         try {
             u.sock = Socket::connect_tcp(cfg_.host, u.endpoint_port);
@@ -136,101 +225,49 @@ Router::RunResult Router::run() {
         u.decoder = FrameDecoder(cfg_.max_frame_bytes);
         u.outbuf.clear();
         u.up = true;
-        for (auto& [seq, p] : pending) {
+        for (auto& [seq, p] : pending_) {
             if (p.shard != i) continue;
-            if (p.sent) ++t.retried_after_shard_death;
+            if (p.sent) ++t_.retried_after_shard_death;
             u.outbuf += p.wire;
             p.sent = true;
         }
         return true;
-    };
+    }
 
-    const auto mark_down = [&](std::size_t i) {
-        Upstream& u = *shards[i];
+    void mark_down(std::size_t i) {
+        Upstream& u = *shards_[i];
         u.up = false;
         u.sock.close();
         u.outbuf.clear();
         u.decoder = FrameDecoder(cfg_.max_frame_bytes);
-    };
-
-    // Initial bring-up: every shard must come up before we take traffic.
-    for (std::size_t i = 0; i < nshards; ++i) {
-        int attempts = 0;
-        while (!revive(i)) {
-            if (++attempts > 50) {
-                throw std::runtime_error(
-                    "router: shard " + std::to_string(i) +
-                    " failed to start");
-            }
-            std::vector<PollEntry> none;
-            poll_wait(none, 100);  // plain sleep between attempts
-        }
     }
 
-    Socket listener = Socket::listen_tcp(cfg_.host, cfg_.port, 256);
-    listener.set_nonblocking(true);
-    if (cfg_.on_listening) cfg_.on_listening(listener.local_port());
-
-    std::map<std::uint64_t, std::unique_ptr<ClientConn>> conns;
-    std::uint64_t next_conn_id = 1;
-    bool stopping = false;
-
-    const auto stop_requested = [&] {
-        return cfg_.stop != nullptr &&
-               cfg_.stop->load(std::memory_order_acquire);
-    };
-
-    const auto control_reply = [&](ClientConn& c, const std::string& id,
-                                   const std::string& op,
-                                   bool length_prefixed) {
-        io::Json reply;
-        reply["id"] = id;
-        reply["op"] = op;
-        reply["status"] = "ok";
-        TransportStats snap = t;
-        snap.open_connections = conns.size();
-        snap.write_queue_bytes = 0;
-        for (const auto& [cid, cc] : conns) {
-            snap.write_queue_bytes += cc->outbuf.size();
-        }
-        io::Json stats;
-        stats["transport"] = to_json(snap);
-        stats["shards"] = nshards;
-        stats["pending"] = pending.size();
-        reply["stats"] = std::move(stats);
-        c.outbuf += encode_frame(reply.dump(), length_prefixed);
-        ++t.control;
-    };
-
-    const auto release_drains = [&](ClientConn& c) {
-        for (std::size_t i = 0; i < c.drains.size();) {
-            if (c.delivered >= c.drains[i].threshold) {
-                control_reply(c, c.drains[i].id, "drain",
-                              c.drains[i].length_prefixed);
-                c.drains.erase(c.drains.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-            } else {
-                ++i;
+    /// Draining with shard `i` down: it is not revived, so each request
+    /// still pending on it is answered `shutdown` — exactly once, as its
+    /// response, so `requests == responses` still holds at exit.
+    void answer_pending_shutdown(std::size_t i) {
+        for (auto it = pending_.begin(); it != pending_.end();) {
+            const PendingReq& p = it->second;
+            if (p.shard != i) {
+                ++it;
+                continue;
             }
+            service::PlanResponse resp;
+            resp.id = p.id;
+            resp.status = service::ResponseStatus::kShutdown;
+            resp.error = "router draining; shard down, request not answered";
+            front_.deliver(p.client_id,
+                           encode_frame(service::response_line(resp),
+                                        p.client_lp));
+            it = pending_.erase(it);
         }
-    };
-
-    const auto bad_request = [&](ClientConn& c, const std::string& id,
-                                 const std::string& why,
-                                 bool length_prefixed) {
-        service::PlanResponse resp;
-        resp.id = id;
-        resp.status = service::ResponseStatus::kBadRequest;
-        resp.error = why;
-        c.outbuf += encode_frame(service::response_line(resp),
-                                 length_prefixed);
-    };
+    }
 
     /// Shard selector: the request's instance fingerprint when one can be
     /// determined (ref directly, inline by content hash); an undeterminable
     /// key routes to shard 0, whose PlanService produces the authoritative
     /// bad_request.
-    const auto shard_of = [&](const io::Json& doc) -> std::size_t {
+    std::size_t shard_of(const io::Json& doc) const {
         std::uint64_t fp = 0;
         try {
             if (doc.contains("instance_ref")) {
@@ -244,88 +281,8 @@ Router::RunResult Router::run() {
         } catch (const std::exception&) {
             fp = 0;
         }
-        return static_cast<std::size_t>(fp % nshards);
-    };
-
-    const auto dispatch = [&](std::uint64_t conn_id, ClientConn& c,
-                              const Frame& f, bool shed) {
-        if (f.malformed) {
-            ++t.frames_malformed;
-            bad_request(c, "", "malformed frame: " + f.error, false);
-            return;
-        }
-        ++t.frames_decoded;
-        if (f.payload.empty()) return;
-
-        io::Json doc;
-        try {
-            doc = io::Json::parse(f.payload);
-        } catch (const std::exception& ex) {
-            bad_request(c, "", std::string("unparseable frame: ") + ex.what(),
-                        f.length_prefixed);
-            return;
-        }
-        const std::string id =
-            doc.is_object() ? doc.string_or("id", "") : "";
-        const std::string op =
-            doc.is_object() ? doc.string_or("op", "") : "";
-        if (op == "stats") {
-            control_reply(c, id, "stats", f.length_prefixed);
-            return;
-        }
-        if (op == "drain") {
-            if (c.delivered >= c.submitted) {
-                control_reply(c, id, "drain", f.length_prefixed);
-            } else {
-                c.drains.push_back({c.submitted, id, f.length_prefixed});
-            }
-            return;
-        }
-        if (!op.empty()) {
-            bad_request(c, id, "unknown op '" + op + "' (expected stats|drain)",
-                        f.length_prefixed);
-            return;
-        }
-        if (!doc.is_object()) {
-            bad_request(c, id, "request must be a JSON object",
-                        f.length_prefixed);
-            return;
-        }
-        if (shed) {
-            service::PlanResponse resp;
-            resp.id = id;
-            resp.status = service::ResponseStatus::kShutdown;
-            resp.error = "router draining; request was not forwarded";
-            c.outbuf += encode_frame(service::response_line(resp),
-                                     f.length_prefixed);
-            ++t.shed_on_shutdown;
-            return;
-        }
-
-        const std::size_t shard = shard_of(doc);
-        const std::uint64_t seq = next_seq++;
-        doc["id"] = std::to_string(seq) + "#" + id;
-        PendingReq p;
-        p.client_id = conn_id;
-        p.shard = shard;
-        p.client_lp = f.length_prefixed;
-        p.wire = encode_frame(doc.dump(), /*length_prefixed=*/true);
-        if (shards[shard]->up) {
-            shards[shard]->outbuf += p.wire;
-            p.sent = true;
-        }
-        pending.emplace(seq, std::move(p));
-        ++c.submitted;
-        ++t.requests;
-    };
-
-    const auto pump_frames = [&](std::uint64_t conn_id, ClientConn& c) {
-        while (!c.dead && c.outbuf.size() < cfg_.write_queue_limit) {
-            auto f = c.decoder.next();
-            if (!f) break;
-            dispatch(conn_id, c, *f, /*shed=*/false);
-        }
-    };
+        return static_cast<std::size_t>(fp % shards_.size());
+    }
 
     /// De-tag a shard response and hand it to its client. The id prefix
     /// (`"<seq>#"`) is stripped textually — object keys are sorted by the
@@ -333,7 +290,7 @@ Router::RunResult Router::run() {
     /// (every earlier key holds a number/bool, and escaping prevents the
     /// sequence appearing inside an error string). Anything unexpected
     /// falls back to a full parse.
-    const auto forward_response = [&](const std::string& payload) {
+    void forward_response(const std::string& payload) {
         std::uint64_t seq = 0;
         std::string out;
         bool parsed = false;
@@ -368,225 +325,88 @@ Router::RunResult Router::run() {
                 return;  // undecodable response; drop
             }
         }
-        auto it = pending.find(seq);
-        if (it == pending.end()) return;  // duplicate after resend race
+        auto it = pending_.find(seq);
+        if (it == pending_.end()) return;  // duplicate after resend race
         const PendingReq p = std::move(it->second);
-        pending.erase(it);
-        auto cit = conns.find(p.client_id);
-        if (cit == conns.end() || cit->second->dead) return;
-        ClientConn& c = *cit->second;
-        c.outbuf += encode_frame(out, p.client_lp);
-        ++c.delivered;
-        ++t.responses;
-        release_drains(c);
-    };
+        pending_.erase(it);
+        front_.deliver(p.client_id, encode_frame(out, p.client_lp));
+    }
 
-    while (true) {
-        if (!stopping && stop_requested()) {
-            stopping = true;
-            listener.close();
-            for (auto& [id, c] : conns) {
-                if (c->dead) continue;
-                while (auto f = c->decoder.next()) {
-                    dispatch(id, *c, *f, /*shed=*/true);
+    void serve_shard(std::size_t i, const PollEntry& e) {
+        Upstream& u = *shards_[i];
+        if (!u.up) return;
+        if (e.error) {
+            mark_down(i);
+            return;
+        }
+        if (e.readable) {
+            char buf[kReadChunk];
+            while (true) {
+                const IoResult r = u.sock.read_some(buf, sizeof(buf));
+                if (r.status == IoStatus::kOk) {
+                    u.decoder.feed(buf, r.n);
+                    while (auto f = u.decoder.next()) {
+                        if (f->malformed) {
+                            ++t_.frames_malformed;
+                            continue;
+                        }
+                        forward_response(f->payload);
+                    }
+                    continue;
                 }
+                if (r.status == IoStatus::kEof ||
+                    r.status == IoStatus::kError) {
+                    mark_down(i);
+                    return;
+                }
+                break;
             }
         }
-
-        for (std::size_t i = 0; i < nshards; ++i) {
-            if (!shards[i]->up && !stopping) (void)revive(i);
-        }
-
-        for (auto it = conns.begin(); it != conns.end();) {
-            ClientConn& c = *it->second;
-            const bool drained = c.submitted == c.delivered &&
-                                 c.outbuf.empty() && c.drains.empty();
-            if (c.dead || ((c.read_eof || stopping) && drained)) {
-                ++t.connections_closed;
-                it = conns.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        if (stopping && conns.empty()) break;
-
-        std::vector<PollEntry> entries;
-        // Slot tags: 0 = ignore, 1..n = client id, -(i+1) = shard i,
-        // encoded in a parallel vector of pair<kind, index>.
-        enum class Kind { kIgnore, kListener, kClient, kShard, kChildOut };
-        std::vector<std::pair<Kind, std::uint64_t>> tags;
-        const auto push = [&](PollEntry e, Kind k, std::uint64_t idx) {
-            entries.push_back(e);
-            tags.emplace_back(k, idx);
-        };
-        if (cfg_.wake_fd >= 0) {
-            push({cfg_.wake_fd, true, false, false, false, false},
-                 Kind::kIgnore, 0);
-        }
-        if (!stopping) {
-            push({listener.fd(), true, false, false, false, false},
-                 Kind::kListener, 0);
-        }
-        for (const auto& [id, c] : conns) {
-            PollEntry e;
-            e.fd = c->sock.fd();
-            e.want_read = !stopping && !c->read_eof && !c->dead &&
-                          c->outbuf.size() < cfg_.write_queue_limit;
-            e.want_write = !c->outbuf.empty() && !c->dead;
-            push(e, Kind::kClient, id);
-        }
-        for (std::size_t i = 0; i < nshards; ++i) {
-            Upstream& u = *shards[i];
-            if (u.up) {
-                PollEntry e;
-                e.fd = u.sock.fd();
-                e.want_read = true;
-                e.want_write = !u.outbuf.empty();
-                push(e, Kind::kShard, i);
-            }
-            if (managed && u.child_out.valid()) {
-                push({u.child_out.fd(), true, false, false, false, false},
-                     Kind::kChildOut, i);
-            }
-        }
-        poll_wait(entries, cfg_.poll_timeout_ms);
-
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            const auto [kind, idx] = tags[i];
-            switch (kind) {
-                case Kind::kIgnore:
-                    break;
-                case Kind::kListener: {
-                    if (!entries[i].readable) break;
-                    while (auto accepted = listener.accept_one()) {
-                        accepted->set_nonblocking(true);
-                        accepted->set_nodelay(true);
-                        conns.emplace(
-                            next_conn_id,
-                            std::make_unique<ClientConn>(
-                                std::move(*accepted), cfg_.max_frame_bytes));
-                        ++next_conn_id;
-                        ++t.connections_opened;
-                    }
-                    break;
-                }
-                case Kind::kClient: {
-                    auto it = conns.find(idx);
-                    if (it == conns.end()) break;
-                    ClientConn& c = *it->second;
-                    if (entries[i].error) {
-                        c.dead = true;
-                        break;
-                    }
-                    if (entries[i].readable && !c.read_eof && !c.dead &&
-                        !stopping) {
-                        char buf[kReadChunk];
-                        while (c.outbuf.size() < cfg_.write_queue_limit) {
-                            const IoResult r =
-                                c.sock.read_some(buf, sizeof(buf));
-                            if (r.status == IoStatus::kOk) {
-                                t.bytes_in += r.n;
-                                c.decoder.feed(buf, r.n);
-                                pump_frames(idx, c);
-                                continue;
-                            }
-                            if (r.status == IoStatus::kEof) {
-                                c.read_eof = true;
-                            }
-                            if (r.status == IoStatus::kError) c.dead = true;
-                            break;
-                        }
-                    }
-                    if (entries[i].writable && !c.outbuf.empty() &&
-                        !c.dead) {
-                        const IoResult r = c.sock.write_some(
-                            c.outbuf.data(), c.outbuf.size());
-                        if (r.status == IoStatus::kOk) {
-                            t.bytes_out += r.n;
-                            c.outbuf.erase(0, r.n);
-                        } else if (r.status == IoStatus::kError) {
-                            c.dead = true;
-                        }
-                    }
-                    break;
-                }
-                case Kind::kShard: {
-                    Upstream& u = *shards[idx];
-                    if (!u.up) break;
-                    if (entries[i].error) {
-                        mark_down(idx);
-                        break;
-                    }
-                    if (entries[i].readable) {
-                        char buf[kReadChunk];
-                        bool lost = false;
-                        while (true) {
-                            const IoResult r =
-                                u.sock.read_some(buf, sizeof(buf));
-                            if (r.status == IoStatus::kOk) {
-                                u.decoder.feed(buf, r.n);
-                                while (auto f = u.decoder.next()) {
-                                    if (f->malformed) {
-                                        ++t.frames_malformed;
-                                        continue;
-                                    }
-                                    forward_response(f->payload);
-                                }
-                                continue;
-                            }
-                            if (r.status == IoStatus::kEof ||
-                                r.status == IoStatus::kError) {
-                                lost = true;
-                            }
-                            break;
-                        }
-                        if (lost) {
-                            mark_down(idx);
-                            break;
-                        }
-                    }
-                    if (entries[i].writable && !u.outbuf.empty()) {
-                        const IoResult r = u.sock.write_some(
-                            u.outbuf.data(), u.outbuf.size());
-                        if (r.status == IoStatus::kOk) {
-                            u.outbuf.erase(0, r.n);
-                        } else if (r.status == IoStatus::kError) {
-                            mark_down(idx);
-                        }
-                    }
-                    break;
-                }
-                case Kind::kChildOut: {
-                    // Post-announce worker stdout (final summaries etc.):
-                    // drain and discard so the child never blocks on a full
-                    // pipe; close on EOF so a dead child's POLLHUP doesn't
-                    // spin the loop until the respawn replaces the pipe.
-                    if (!entries[i].readable) break;
-                    Socket& out = shards[idx]->child_out;
-                    char buf[256];
-                    while (true) {
-                        const IoResult r = out.read_some(buf, sizeof(buf));
-                        if (r.status == IoStatus::kOk) continue;
-                        if (r.status != IoStatus::kWouldBlock) out.close();
-                        break;
-                    }
-                    break;
-                }
+        if (e.writable && !u.outbuf.empty()) {
+            const IoResult r =
+                u.sock.write_some(u.outbuf.data(), u.outbuf.size());
+            if (r.status == IoStatus::kOk) {
+                u.outbuf.erase(0, r.n);
+            } else if (r.status == IoStatus::kError) {
+                mark_down(i);
             }
         }
     }
 
-    result.clean_shutdown = true;
-    if (managed) {
-        for (auto& u : shards) {
-            if (u->pid > 0) signal_child(u->pid, SIGTERM);
-        }
-        for (auto& u : shards) {
-            if (u->pid > 0 && wait_child(u->pid) != 0) {
-                result.clean_shutdown = false;
-            }
+    /// Post-announce worker stdout (final summaries etc.): drain and
+    /// discard so the child never blocks on a full pipe; close on EOF so a
+    /// dead child's POLLHUP doesn't spin the loop until the respawn
+    /// replaces the pipe.
+    void drain_child_out(std::size_t i) {
+        Socket& out = shards_[i]->child_out;
+        char buf[256];
+        while (true) {
+            const IoResult r = out.read_some(buf, sizeof(buf));
+            if (r.status == IoStatus::kOk) continue;
+            if (r.status != IoStatus::kWouldBlock) out.close();
+            break;
         }
     }
+
+    const RouterConfig& cfg_;
+    const bool managed_;
+    Front front_;
+    TransportStats& t_;
+    std::vector<std::unique_ptr<Upstream>> shards_;
+    std::map<std::uint64_t, PendingReq> pending_;
+    std::uint64_t next_seq_{1};
+    /// Per role poll entry: {shard, is its child's stdout}.
+    std::vector<std::pair<std::size_t, bool>> tags_;
+};
+
+}  // namespace
+
+Router::RunResult Router::run() {
+    RouteRole role(cfg_);
+    role.bring_up();
+    RunResult result;
+    result.transport = role.front().run();
+    result.clean_shutdown = role.reap_children();
     return result;
 }
 

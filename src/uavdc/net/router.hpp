@@ -1,19 +1,14 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "uavdc/net/front.hpp"
 #include "uavdc/net/transport_stats.hpp"
 
 namespace uavdc::net {
 
-struct RouterConfig {
-    std::string host = "127.0.0.1";
-    int port = 0;  ///< client-facing listen port (0 = ephemeral)
-
+struct RouterConfig : FrontConfig {
     /// Managed mode: spawn this many `uavdc serve --tcp --announce` worker
     /// processes (respawned on crash). Mutually exclusive with `endpoints`.
     int shards = 0;
@@ -26,16 +21,12 @@ struct RouterConfig {
     /// instead of spawning; a lost upstream is reconnected, not respawned.
     std::vector<int> endpoints;
 
-    const std::atomic<bool>* stop = nullptr;
-    int wake_fd = -1;
-    int poll_timeout_ms = 200;
     int spawn_timeout_ms = 10000;  ///< announce-handshake wait per worker
-    std::size_t max_frame_bytes = 16u << 20;
-    std::size_t write_queue_limit = 8u << 20;
-    std::function<void(int)> on_listening;
 };
 
-/// Thin request router in front of N `PlanService` shards.
+/// Thin request router in front of N `PlanService` shards: the router role
+/// of `Front` (which documents the wire protocol; `stats` here reports the
+/// transport counters, the shard count and the pending-table size).
 ///
 /// Each client plan request is hashed to a shard by *instance fingerprint*
 /// (`instance_ref` directly; inline instances by content hash), so every
@@ -52,10 +43,8 @@ struct RouterConfig {
 /// requests are resent (`retried_after_shard_death`) — planning is
 /// deterministic and cached, so a request whose response was lost in the
 /// dead connection re-produces the identical payload, and one whose
-/// response already reached the client is never resent.
-///
-/// `stats`/`drain` verbs are answered by the router itself; `drain` is the
-/// same per-connection barrier the TCP server implements.
+/// response already reached the client is never resent. Once draining, a
+/// down shard is not revived: its pending requests are answered `shutdown`.
 class Router {
   public:
     explicit Router(RouterConfig cfg) : cfg_(std::move(cfg)) {}

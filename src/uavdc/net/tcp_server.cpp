@@ -1,6 +1,5 @@
 #include "uavdc/net/tcp_server.hpp"
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -13,39 +12,92 @@ namespace uavdc::net {
 
 namespace {
 
-constexpr std::size_t kReadChunk = 64u * 1024;
+/// The server role: plan requests go to `PlanService`, completions come
+/// back through the wake pipe. The service is declared last (destroyed
+/// first, after its own drain) because its worker callbacks reference the
+/// completion queue and the pipe.
+class ServeRole final : public Front::Role {
+  public:
+    ServeRole(const TcpServerConfig& cfg,
+              const service::PlanService::Config& svc_cfg)
+        : front_(cfg, *this), svc_(svc_cfg, nullptr) {
+        auto [rd, wr] = Socket::pipe_pair();
+        wake_rd_ = std::move(rd);
+        wake_wr_ = std::move(wr);
+        wake_rd_.set_nonblocking(true);
+        wake_wr_.set_nonblocking(true);
+    }
 
-/// One client connection's loop-side state. `submitted`/`delivered` count
-/// plan requests only (control verbs are answered inline), which is exactly
-/// the pair the per-connection `drain` barrier compares.
-struct Conn {
-    Socket sock;
-    FrameDecoder decoder;
-    std::string outbuf;
-    std::uint64_t submitted{0};
-    std::uint64_t delivered{0};
-    struct DrainWait {
-        std::uint64_t threshold;  ///< release when delivered >= this
-        std::string id;
-        bool length_prefixed;
-    };
-    std::vector<DrainWait> drains;
-    bool read_eof{false};
-    bool dead{false};  ///< peer reset / write error: discard silently
+    Front& front() { return front_; }
+    service::PlanService& svc() { return svc_; }
 
-    Conn(Socket s, std::size_t max_frame)
-        : sock(std::move(s)), decoder(max_frame) {}
+    bool request(Front::ConnId conn, io::Json& doc, const std::string& id,
+                 bool length_prefixed, bool shed) override {
+        service::PlanRequest req;
+        try {
+            req = service::request_from_json(doc);
+        } catch (const std::exception& ex) {
+            front_.answer(conn, id, service::ResponseStatus::kBadRequest,
+                          ex.what(), length_prefixed);
+            return false;
+        }
+        if (shed) {
+            front_.answer(conn, id, service::ResponseStatus::kShutdown,
+                          "server draining; request was not submitted",
+                          length_prefixed);
+            return false;
+        }
+        svc_.submit(std::move(req),
+                    [this, conn, length_prefixed](service::PlanResponse resp) {
+                        complete(conn, length_prefixed, resp);
+                    });
+        return true;
+    }
+
+    io::Json stats() override { return service::to_json(svc_.stats()); }
+
+    void poll_set(std::vector<PollEntry>& entries) override {
+        entries.push_back({wake_rd_.fd(), true, false, false, false, false});
+    }
+
+    void on_poll(const std::vector<PollEntry>& entries) override {
+        if (entries[0].readable) drain_readable(wake_rd_);
+        std::vector<std::pair<Front::ConnId, std::string>> batch;
+        {
+            std::lock_guard lock(done_mu_);
+            batch.swap(done_);
+        }
+        for (const auto& [conn, frame] : batch) front_.deliver(conn, frame);
+    }
+
+  private:
+    // Completion path: workers encode off the loop thread (the JSON dump of
+    // a large plan is the expensive part), enqueue, and poke the pipe.
+    void complete(Front::ConnId conn, bool length_prefixed,
+                  const service::PlanResponse& resp) {
+        std::string frame =
+            encode_frame(service::response_line(resp), length_prefixed);
+        {
+            std::lock_guard lock(done_mu_);
+            done_.emplace_back(conn, std::move(frame));
+        }
+        const char byte = 1;
+        (void)wake_wr_.write_some(&byte, 1);
+    }
+
+    Front front_;
+    std::mutex done_mu_;
+    std::vector<std::pair<Front::ConnId, std::string>> done_;
+    Socket wake_rd_;
+    Socket wake_wr_;
+    service::PlanService svc_;
 };
 
 }  // namespace
 
 TcpServer::RunResult TcpServer::run() {
     RunResult result;
-    TransportStats& t = result.transport;
-
-    // Destruction order matters: the service's worker callbacks reference
-    // the completion queue and wake pipe, so the service is declared last
-    // (destroyed first, after its own drain).
+    // The repository outlives the service, whose store hooks write to it.
     std::unique_ptr<Repository> repo;
     service::PlanService::Config svc_cfg = cfg_.service;
     // Every response leaves through response_line(), which splices the
@@ -56,312 +108,11 @@ TcpServer::RunResult TcpServer::run() {
         svc_cfg.store = repo->hooks();
     }
 
-    std::mutex done_mu;
-    std::vector<std::pair<std::uint64_t, std::string>> done;
-    auto [wake_rd, wake_wr] = Socket::pipe_pair();
-    wake_rd.set_nonblocking(true);
-    wake_wr.set_nonblocking(true);
-
-    service::PlanService svc(svc_cfg, nullptr);
-    if (repo) result.preloaded = repo->load(svc);
-
-    Socket listener = Socket::listen_tcp(cfg_.host, cfg_.port, 256);
-    listener.set_nonblocking(true);
-    if (cfg_.on_listening) cfg_.on_listening(listener.local_port());
-
-    std::map<std::uint64_t, std::unique_ptr<Conn>> conns;
-    std::uint64_t next_conn_id = 1;
-    bool stopping = false;
-
-    const auto stop_requested = [&] {
-        return cfg_.stop != nullptr &&
-               cfg_.stop->load(std::memory_order_acquire);
-    };
-
-    // Completion path: workers encode off the loop thread (the JSON dump of
-    // a large plan is the expensive part), enqueue, and poke the pipe.
-    const auto complete = [&](std::uint64_t conn_id, bool length_prefixed,
-                              const service::PlanResponse& resp) {
-        std::string frame =
-            encode_frame(service::response_line(resp), length_prefixed);
-        {
-            std::lock_guard lock(done_mu);
-            done.emplace_back(conn_id, std::move(frame));
-        }
-        const char byte = 1;
-        (void)wake_wr.write_some(&byte, 1);
-    };
-
-    const auto stats_snapshot = [&] {
-        TransportStats snap = t;
-        snap.open_connections = conns.size();
-        snap.write_queue_bytes = 0;
-        for (const auto& [id, c] : conns) {
-            snap.write_queue_bytes += c->outbuf.size();
-        }
-        if (repo) result.repo_appends = repo->appended();
-        return snap;
-    };
-
-    const auto control_reply = [&](Conn& c, const std::string& id,
-                                   const std::string& op,
-                                   bool length_prefixed) {
-        io::Json reply;
-        reply["id"] = id;
-        reply["op"] = op;
-        reply["status"] = "ok";
-        io::Json stats = service::to_json(svc.stats());
-        stats["transport"] = to_json(stats_snapshot());
-        reply["stats"] = std::move(stats);
-        c.outbuf += encode_frame(reply.dump(), length_prefixed);
-        ++t.control;
-    };
-
-    const auto release_drains = [&](Conn& c) {
-        for (std::size_t i = 0; i < c.drains.size();) {
-            if (c.delivered >= c.drains[i].threshold) {
-                control_reply(c, c.drains[i].id, "drain",
-                              c.drains[i].length_prefixed);
-                c.drains.erase(c.drains.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-            } else {
-                ++i;
-            }
-        }
-    };
-
-    const auto bad_request = [&](Conn& c, const std::string& id,
-                                 const std::string& why,
-                                 bool length_prefixed) {
-        service::PlanResponse resp;
-        resp.id = id;
-        resp.status = service::ResponseStatus::kBadRequest;
-        resp.error = why;
-        c.outbuf += encode_frame(service::response_line(resp),
-                                 length_prefixed);
-    };
-
-    // Decode-side dispatch of one frame. `shed` (drain path): answer plan
-    // requests with `shutdown` instead of submitting.
-    const auto dispatch = [&](std::uint64_t conn_id, Conn& c,
-                              const Frame& f, bool shed) {
-        if (f.malformed) {
-            ++t.frames_malformed;
-            bad_request(c, "", "malformed frame: " + f.error, false);
-            return;
-        }
-        ++t.frames_decoded;
-        if (f.payload.empty()) return;  // blank line, JSONL-style
-
-        io::Json doc;
-        try {
-            doc = io::Json::parse(f.payload);
-        } catch (const std::exception& ex) {
-            bad_request(c, "", std::string("unparseable frame: ") + ex.what(),
-                        f.length_prefixed);
-            return;
-        }
-        const std::string id =
-            doc.is_object() ? doc.string_or("id", "") : "";
-        const std::string op =
-            doc.is_object() ? doc.string_or("op", "") : "";
-        if (op == "stats") {
-            control_reply(c, id, "stats", f.length_prefixed);
-            return;
-        }
-        if (op == "drain") {
-            if (c.delivered >= c.submitted) {
-                control_reply(c, id, "drain", f.length_prefixed);
-            } else {
-                c.drains.push_back({c.submitted, id, f.length_prefixed});
-            }
-            return;
-        }
-        if (!op.empty()) {
-            bad_request(c, id, "unknown op '" + op + "' (expected stats|drain)",
-                        f.length_prefixed);
-            return;
-        }
-
-        service::PlanRequest req;
-        try {
-            req = service::request_from_json(doc);
-        } catch (const std::exception& ex) {
-            bad_request(c, id, ex.what(), f.length_prefixed);
-            return;
-        }
-        if (shed) {
-            service::PlanResponse resp;
-            resp.id = req.id;
-            resp.status = service::ResponseStatus::kShutdown;
-            resp.error = "server draining; request was not submitted";
-            c.outbuf += encode_frame(service::response_line(resp),
-                                     f.length_prefixed);
-            ++t.shed_on_shutdown;
-            return;
-        }
-        ++t.requests;
-        ++c.submitted;
-        const bool lp = f.length_prefixed;
-        svc.submit(std::move(req),
-                   [&complete, conn_id, lp](service::PlanResponse resp) {
-                       complete(conn_id, lp, resp);
-                   });
-    };
-
-    // Decode + dispatch whatever is buffered for `c`, stopping at the
-    // write-queue bound: a connection whose client stopped reading keeps
-    // its complete-but-undispatched frames *in the decoder* (bounded by
-    // max_frame_bytes per frame) instead of growing the output queue.
-    const auto pump_frames = [&](std::uint64_t conn_id, Conn& c) {
-        while (!c.dead && c.outbuf.size() < cfg_.write_queue_limit) {
-            auto f = c.decoder.next();
-            if (!f) break;
-            dispatch(conn_id, c, *f, /*shed=*/false);
-        }
-    };
-
-    const auto pump_completions = [&] {
-        std::vector<std::pair<std::uint64_t, std::string>> batch;
-        {
-            std::lock_guard lock(done_mu);
-            batch.swap(done);
-        }
-        for (auto& [conn_id, frame] : batch) {
-            auto it = conns.find(conn_id);
-            if (it == conns.end() || it->second->dead) continue;
-            Conn& c = *it->second;
-            c.outbuf += frame;
-            ++c.delivered;
-            ++t.responses;
-            release_drains(c);
-        }
-    };
-
-    while (true) {
-        if (!stopping && stop_requested()) {
-            // Graceful drain: no new connections, no further reads. Frames
-            // already decoded into the buffers but not yet submitted are
-            // answered `shutdown`; everything submitted completes below.
-            stopping = true;
-            listener.close();
-            for (auto& [id, c] : conns) {
-                if (c->dead) continue;
-                while (auto f = c->decoder.next()) {
-                    dispatch(id, *c, *f, /*shed=*/true);
-                }
-            }
-        }
-
-        // Close whatever is finished: a dead peer immediately; a drained
-        // connection (EOF or server drain, nothing owed, nothing buffered)
-        // with an orderly FIN.
-        for (auto it = conns.begin(); it != conns.end();) {
-            Conn& c = *it->second;
-            const bool drained = c.submitted == c.delivered &&
-                                 c.outbuf.empty() && c.drains.empty();
-            if (c.dead || ((c.read_eof || stopping) && drained)) {
-                ++t.connections_closed;
-                it = conns.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        if (stopping && conns.empty()) break;
-
-        std::vector<PollEntry> entries;
-        std::vector<std::uint64_t> entry_conn;  // conn id per entry, 0 = none
-        entries.push_back({wake_rd.fd(), true, false, false, false, false});
-        entry_conn.push_back(0);
-        if (cfg_.wake_fd >= 0) {
-            entries.push_back(
-                {cfg_.wake_fd, true, false, false, false, false});
-            entry_conn.push_back(0);
-        }
-        std::size_t listener_slot = 0;
-        if (!stopping) {
-            listener_slot = entries.size();
-            entries.push_back(
-                {listener.fd(), true, false, false, false, false});
-            entry_conn.push_back(0);
-        }
-        for (const auto& [id, c] : conns) {
-            PollEntry e;
-            e.fd = c->sock.fd();
-            e.want_read = !stopping && !c->read_eof && !c->dead &&
-                          c->outbuf.size() < cfg_.write_queue_limit;
-            e.want_write = !c->outbuf.empty() && !c->dead;
-            entries.push_back(e);
-            entry_conn.push_back(id);
-        }
-        poll_wait(entries, cfg_.poll_timeout_ms);
-
-        if (entries[0].readable) drain_readable(wake_rd);
-        pump_completions();
-        // Resume frames parked behind the write-queue bound once the
-        // client drained some output.
-        for (auto& [id, c] : conns) {
-            if (!stopping) pump_frames(id, *c);
-        }
-
-        if (!stopping && entries[listener_slot].readable &&
-            listener_slot != 0) {
-            while (auto accepted = listener.accept_one()) {
-                accepted->set_nonblocking(true);
-                accepted->set_nodelay(true);
-                conns.emplace(next_conn_id,
-                              std::make_unique<Conn>(std::move(*accepted),
-                                                     cfg_.max_frame_bytes));
-                ++next_conn_id;
-                ++t.connections_opened;
-            }
-        }
-
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            const std::uint64_t conn_id = entry_conn[i];
-            if (conn_id == 0) continue;
-            auto it = conns.find(conn_id);
-            if (it == conns.end()) continue;
-            Conn& c = *it->second;
-            if (entries[i].error) {
-                c.dead = true;
-                continue;
-            }
-            if (entries[i].readable && !c.read_eof && !c.dead && !stopping) {
-                char buf[kReadChunk];
-                while (c.outbuf.size() < cfg_.write_queue_limit) {
-                    const IoResult r = c.sock.read_some(buf, sizeof(buf));
-                    if (r.status == IoStatus::kOk) {
-                        t.bytes_in += r.n;
-                        c.decoder.feed(buf, r.n);
-                        pump_frames(conn_id, c);
-                        continue;
-                    }
-                    if (r.status == IoStatus::kEof) c.read_eof = true;
-                    if (r.status == IoStatus::kError) c.dead = true;
-                    break;
-                }
-                // Inline admission rejections may have completed on this
-                // thread already; fold them in before the write pass.
-                pump_completions();
-            }
-            if (entries[i].writable && !c.outbuf.empty() && !c.dead) {
-                const IoResult r =
-                    c.sock.write_some(c.outbuf.data(), c.outbuf.size());
-                if (r.status == IoStatus::kOk) {
-                    t.bytes_out += r.n;
-                    c.outbuf.erase(0, r.n);
-                } else if (r.status == IoStatus::kError) {
-                    c.dead = true;
-                }
-            }
-        }
-    }
-
-    svc.drain();
-    result.service = svc.stats();
-    t.open_connections = 0;
-    t.write_queue_bytes = 0;
+    ServeRole role(cfg_, svc_cfg);
+    if (repo) result.preloaded = repo->load(role.svc());
+    result.transport = role.front().run();
+    role.svc().drain();
+    result.service = role.svc().stats();
     if (repo) result.repo_appends = repo->appended();
     return result;
 }

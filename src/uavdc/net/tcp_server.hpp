@@ -1,56 +1,26 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 
+#include "uavdc/net/front.hpp"
 #include "uavdc/net/repository.hpp"
 #include "uavdc/net/transport_stats.hpp"
 #include "uavdc/service/plan_service.hpp"
 
 namespace uavdc::net {
 
-struct TcpServerConfig {
-    std::string host = "127.0.0.1";
-    int port = 0;  ///< 0 binds an ephemeral port (see `on_listening`)
+struct TcpServerConfig : FrontConfig {
     service::PlanService::Config service;
     /// Non-empty: open/replay a `Repository` at this path and wire its
     /// store hooks, so instances and cached responses survive restarts.
     std::string repo_path;
-    std::size_t max_frame_bytes = 16u << 20;
-    /// Per-connection backpressure bound: once this many response bytes are
-    /// queued for a slow reader, the server stops *reading* that connection
-    /// until the queue drains below the bound — pipelining cannot buffer
-    /// unbounded output for a client that never consumes it.
-    std::size_t write_queue_limit = 8u << 20;
-    /// Graceful-drain request (`ShutdownSignal::flag()` in the CLI; a plain
-    /// atomic in tests). Observed promptly via `wake_fd` when supplied,
-    /// within the poll timeout otherwise.
-    const std::atomic<bool>* stop = nullptr;
-    int wake_fd = -1;  ///< optional readable-on-signal fd added to the poll set
-    int poll_timeout_ms = 200;
-    /// Called once, with the bound port, after listen succeeds (the
-    /// `--announce` handshake that lets a parent spawn workers on port 0).
-    std::function<void(int)> on_listening;
 };
 
-/// Single-threaded poll(2) event loop serving `PlanService` over TCP with
-/// persistent, pipelined connections (planning itself runs on the service's
-/// worker pool; completions re-enter the loop through a self-pipe).
-///
-/// Wire protocol: every frame (see `FrameDecoder`) carries one JSON
-/// document — a plan request, `{"op":"stats",...}` (immediate snapshot,
-/// with transport counters under `"transport"`), or `{"op":"drain",...}`
-/// (a per-connection barrier: answered only after every request previously
-/// submitted on that connection has been answered). Each response is framed
-/// the way its request was. Malformed payloads and framing damage are
-/// answered with `bad_request` — the connection stays open.
-///
-/// Graceful drain (`stop` set, or SIGTERM via the CLI): the listener
-/// closes, no further bytes are read, requests already submitted complete
-/// and their responses flush, frames decoded but not yet submitted are
-/// answered `shutdown`, then connections close cleanly and `run` returns.
+/// `PlanService` over TCP: the server role of `Front` (which documents the
+/// wire protocol). Planning runs on the service's worker pool; completions
+/// re-enter the loop through a self-pipe. On drain, frames not yet
+/// submitted are answered `shutdown`.
 class TcpServer {
   public:
     explicit TcpServer(TcpServerConfig cfg) : cfg_(std::move(cfg)) {}

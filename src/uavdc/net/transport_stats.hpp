@@ -7,10 +7,13 @@
 namespace uavdc::net {
 
 /// Transport-level counters, reported next to `service::ServiceStats` under
-/// the `"transport"` key of a `stats` reply. The reconciliation invariant
-/// mirrors the service's: `requests == responses + shed_on_shutdown` once a
-/// front-end has drained (every decoded request frame is answered exactly
-/// once — by the service, or by the drain path with `shutdown`).
+/// the `"transport"` key of a `stats` reply. `requests` counts the plan
+/// requests a front accepted and `responses` their answers, so
+/// `requests == responses` once a front has drained (a router's pending
+/// request on a shard still down at drain is answered `shutdown` and
+/// counted as its response). A request shed by the drain is never
+/// accepted: it counts only in `shed_on_shutdown`, so a drained front
+/// answered `requests + shed_on_shutdown` plan requests, each exactly once.
 struct TransportStats {
     std::uint64_t connections_opened{0};
     std::uint64_t connections_closed{0};

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -41,16 +44,14 @@ struct ServerHandle {
     std::thread thread;
     TcpServer::RunResult result;
 
-    explicit ServerHandle(std::string repo_path = "",
-                          std::size_t max_frame = 16u << 20) {
+    explicit ServerHandle(std::size_t write_queue_limit = 8u << 20) {
         std::promise<int> port_promise;
         auto port_future = port_promise.get_future();
         TcpServerConfig cfg;
         cfg.port = 0;
         cfg.service.workers = 2;
         cfg.service.defaults = fast_options();
-        cfg.repo_path = std::move(repo_path);
-        cfg.max_frame_bytes = max_frame;
+        cfg.write_queue_limit = write_queue_limit;
         cfg.stop = &stop;
         cfg.poll_timeout_ms = 20;
         cfg.on_listening = [&port_promise](int p) {
@@ -70,6 +71,98 @@ struct ServerHandle {
     }
 
     ~ServerHandle() { (void)stop_and_join(); }
+};
+
+/// A static-mode Router on its own thread in front of `endpoints`.
+/// `stop_and_join` triggers the graceful drain and returns the final
+/// counters. A router that never finishes its drain cannot be joined, so
+/// the test process then ends with a failure instead of hanging.
+struct RouterHandle {
+    std::atomic<bool> stop{false};
+    int port{0};
+    std::future<void> finished;
+    Router::RunResult result;
+    std::thread thread;
+
+    explicit RouterHandle(std::vector<int> endpoints,
+                          std::size_t write_queue_limit = 8u << 20) {
+        std::promise<int> port_promise;
+        auto port_future = port_promise.get_future();
+        RouterConfig cfg;
+        cfg.port = 0;
+        cfg.endpoints = std::move(endpoints);
+        cfg.write_queue_limit = write_queue_limit;
+        cfg.stop = &stop;
+        cfg.poll_timeout_ms = 20;
+        cfg.on_listening = [&port_promise](int p) {
+            port_promise.set_value(p);
+        };
+        std::promise<void> done;
+        finished = done.get_future();
+        thread = std::thread(
+            [this, cfg = std::move(cfg), done = std::move(done)]() mutable {
+                Router router(std::move(cfg));
+                result = router.run();
+                done.set_value();
+            });
+        port = port_future.get();
+    }
+
+    Router::RunResult stop_and_join() {
+        stop.store(true);
+        if (thread.joinable()) {
+            if (finished.wait_for(std::chrono::seconds(30)) !=
+                std::future_status::ready) {
+                ADD_FAILURE() << "router still draining 30 s after stop";
+                std::fflush(stdout);
+                std::_Exit(1);
+            }
+            thread.join();
+        }
+        return result;
+    }
+
+    ~RouterHandle() { (void)stop_and_join(); }
+};
+
+/// Which front end a protocol test talks to: the plan server directly, or
+/// a static-mode router in front of one. `stop_and_join` reports the
+/// client-facing transport counters (the router's, when there is one) and
+/// the backing server's service counters.
+enum class Role { kServer, kRouter };
+
+struct Frontend {
+    Role role;
+    ServerHandle server;
+    std::unique_ptr<RouterHandle> router;
+
+    explicit Frontend(Role r, std::size_t write_queue_limit = 8u << 20)
+        : role(r), server(r == Role::kServer ? write_queue_limit : 8u << 20) {
+        if (role == Role::kRouter) {
+            router = std::make_unique<RouterHandle>(
+                std::vector<int>{server.port}, write_queue_limit);
+        }
+    }
+
+    [[nodiscard]] int port() const {
+        return router ? router->port : server.port;
+    }
+
+    void request_stop() { (router ? router->stop : server.stop).store(true); }
+
+    struct Result {
+        TransportStats transport;
+        service::ServiceStats service;
+    };
+
+    Result stop_and_join() {
+        Result r;
+        if (router) r.transport = router->stop_and_join().transport;
+        const auto s = server.stop_and_join();
+        if (!router) r.transport = s.transport;
+        r.service = s.service;
+        return r;
+    }
 };
 
 /// Blocking test client: frames out, frames back with a deadline.
@@ -123,30 +216,38 @@ std::string ref_request(const std::string& id, std::uint64_t fp) {
     return service::to_json(req).dump();
 }
 
-TEST(NetServer, PipelinedMixedFramingAllAnswered) {
-    ServerHandle server;
-    Client client(server.port);
+// The client-facing protocol tests run against both roles of the front:
+// each body takes the role, and each role gets its own TEST so the names
+// stay `NetServer.*` / `NetRouter.*`.
+
+void pipelined_mixed_framing_all_answered(Role role) {
+    Frontend fe(role);
+    Client client(fe.port());
 
     const auto inst = uavdc::testing::small_instance(10, 200.0, 51);
     const auto fp = core::PlanningContext::instance_fingerprint(inst);
 
-    // One inline registration plus pipelined by-ref requests, alternating
-    // framings on the same connection — all written before any read.
-    client.send(plan_request("r0", inst), /*length_prefixed=*/false);
-    for (int i = 1; i <= 6; ++i) {
-        client.send(ref_request("r" + std::to_string(i), fp), i % 2 == 0);
-    }
-
+    // One inline registration, answered before the by-ref requests go out
+    // (its plan is cached before its response is sent, so every by-ref
+    // request below is a cache hit). Then pipelined by-ref requests,
+    // alternating framings on the same connection — all written before any
+    // read.
     std::map<std::string, io::Json> responses;
     std::map<std::string, bool> framing;
-    for (int i = 0; i < 7; ++i) {
+    auto receive = [&](int i) {
         auto f = client.next();
         ASSERT_TRUE(f.has_value()) << "response " << i << " missing";
         ASSERT_FALSE(f->malformed);
         const io::Json doc = io::Json::parse(f->payload);
         responses[doc.at("id").as_string()] = doc;
         framing[doc.at("id").as_string()] = f->length_prefixed;
+    };
+    client.send(plan_request("r0", inst), /*length_prefixed=*/false);
+    receive(0);
+    for (int i = 1; i <= 6; ++i) {
+        client.send(ref_request("r" + std::to_string(i), fp), i % 2 == 0);
     }
+    for (int i = 1; i <= 6; ++i) receive(i);
     ASSERT_EQ(responses.size(), 7u);
     std::string first_result;
     for (int i = 0; i <= 6; ++i) {
@@ -164,16 +265,23 @@ TEST(NetServer, PipelinedMixedFramingAllAnswered) {
         }
     }
 
-    const auto result = server.stop_and_join();
+    const auto result = fe.stop_and_join();
     EXPECT_EQ(result.transport.requests, 7u);
     EXPECT_EQ(result.transport.responses, 7u);
     EXPECT_EQ(result.transport.frames_malformed, 0u);
     EXPECT_EQ(result.service.internal_errors, 0u);
 }
 
-TEST(NetServer, MalformedPayloadAnswersBadRequestWithoutClosing) {
-    ServerHandle server;
-    Client client(server.port);
+TEST(NetServer, PipelinedMixedFramingAllAnswered) {
+    pipelined_mixed_framing_all_answered(Role::kServer);
+}
+TEST(NetRouter, PipelinedMixedFramingAllAnswered) {
+    pipelined_mixed_framing_all_answered(Role::kRouter);
+}
+
+void malformed_payload_answers_bad_request_without_closing(Role role) {
+    Frontend fe(role);
+    Client client(fe.port());
 
     // Unparseable JSON: bad_request, connection survives.
     client.send("this is not json", false);
@@ -182,7 +290,9 @@ TEST(NetServer, MalformedPayloadAnswersBadRequestWithoutClosing) {
     io::Json doc = io::Json::parse(f->payload);
     EXPECT_EQ(doc.at("status").as_string(), "bad_request");
 
-    // Parseable JSON that is not a valid request: same contract.
+    // Parseable JSON that is not a valid request: same contract. The
+    // router forwards it (no instance key: shard 0), whose service rejects
+    // it under the client's own id.
     client.send(R"({"id":"q","planner":"alg2"})", true);
     f = client.next();
     ASSERT_TRUE(f.has_value());
@@ -206,14 +316,21 @@ TEST(NetServer, MalformedPayloadAnswersBadRequestWithoutClosing) {
     EXPECT_EQ(doc.at("id").as_string(), "ok1");
     EXPECT_EQ(doc.at("status").as_string(), "ok");
 
-    const auto result = server.stop_and_join();
+    const auto result = fe.stop_and_join();
     EXPECT_EQ(result.transport.frames_malformed, 1u);
-    EXPECT_EQ(result.transport.requests, 1u);
+    EXPECT_EQ(result.transport.requests, role == Role::kServer ? 1u : 2u);
 }
 
-TEST(NetServer, DrainBarrierAnswersAfterPipelinedRequests) {
-    ServerHandle server;
-    Client client(server.port);
+TEST(NetServer, MalformedPayloadAnswersBadRequestWithoutClosing) {
+    malformed_payload_answers_bad_request_without_closing(Role::kServer);
+}
+TEST(NetRouter, MalformedPayloadAnswersBadRequestWithoutClosing) {
+    malformed_payload_answers_bad_request_without_closing(Role::kRouter);
+}
+
+void drain_barrier_answers_after_pipelined_requests(Role role) {
+    Frontend fe(role);
+    Client client(fe.port());
 
     const auto inst = uavdc::testing::small_instance(10, 200.0, 53);
     const auto fp = core::PlanningContext::instance_fingerprint(inst);
@@ -243,9 +360,16 @@ TEST(NetServer, DrainBarrierAnswersAfterPipelinedRequests) {
     EXPECT_TRUE(f->length_prefixed);
 }
 
-TEST(NetServer, StatsVerbEmbedsTransportCounters) {
-    ServerHandle server;
-    Client client(server.port);
+TEST(NetServer, DrainBarrierAnswersAfterPipelinedRequests) {
+    drain_barrier_answers_after_pipelined_requests(Role::kServer);
+}
+TEST(NetRouter, DrainBarrierAnswersAfterPipelinedRequests) {
+    drain_barrier_answers_after_pipelined_requests(Role::kRouter);
+}
+
+void stats_verb_embeds_transport_counters(Role role) {
+    Frontend fe(role);
+    Client client(fe.port());
 
     const auto inst = uavdc::testing::small_instance(8, 180.0, 54);
     client.send(plan_request("r", inst), false);
@@ -257,8 +381,15 @@ TEST(NetServer, StatsVerbEmbedsTransportCounters) {
     const io::Json doc = io::Json::parse(f->payload);
     EXPECT_EQ(doc.at("op").as_string(), "stats");
     const io::Json& stats = doc.at("stats");
-    // Service-level counters and transport counters, reconciled.
-    EXPECT_EQ(stats.at("completed").as_number(), 1.0);
+    if (role == Role::kServer) {
+        // Service-level counters next to the transport counters.
+        EXPECT_EQ(stats.at("completed").as_number(), 1.0);
+    } else {
+        // The router has no service: its own shard table instead.
+        EXPECT_FALSE(stats.contains("completed"));
+        EXPECT_EQ(stats.at("shards").as_number(), 1.0);
+        EXPECT_EQ(stats.at("pending").as_number(), 0.0);
+    }
     const io::Json& transport = stats.at("transport");
     EXPECT_EQ(transport.at("requests").as_number(), 1.0);
     EXPECT_EQ(transport.at("responses").as_number(), 1.0);
@@ -267,9 +398,16 @@ TEST(NetServer, StatsVerbEmbedsTransportCounters) {
     EXPECT_GE(transport.at("frames_decoded").as_number(), 2.0);
 }
 
-TEST(NetServer, GracefulStopAnswersEverySubmittedRequest) {
-    ServerHandle server;
-    Client client(server.port);
+TEST(NetServer, StatsVerbEmbedsTransportCounters) {
+    stats_verb_embeds_transport_counters(Role::kServer);
+}
+TEST(NetRouter, StatsVerbEmbedsTransportCounters) {
+    stats_verb_embeds_transport_counters(Role::kRouter);
+}
+
+void graceful_stop_answers_every_submitted_request(Role role) {
+    Frontend fe(role);
+    Client client(fe.port());
 
     const auto inst = uavdc::testing::small_instance(10, 200.0, 55);
     const auto fp = core::PlanningContext::instance_fingerprint(inst);
@@ -277,9 +415,9 @@ TEST(NetServer, GracefulStopAnswersEverySubmittedRequest) {
     for (int i = 0; i < 16; ++i) {
         client.send(ref_request("r" + std::to_string(i), fp), false);
     }
-    // Stop while the pipeline is in flight: whatever the server decoded is
+    // Stop while the pipeline is in flight: whatever the front decoded is
     // answered (`ok` or `shutdown`), then the connection closes cleanly.
-    server.stop.store(true);
+    fe.request_stop();
 
     std::set<std::string> answered;
     std::uint64_t shut = 0;
@@ -294,7 +432,7 @@ TEST(NetServer, GracefulStopAnswersEverySubmittedRequest) {
     }
     EXPECT_TRUE(client.eof);  // orderly close, not a reset
 
-    const auto result = server.stop_and_join();
+    const auto result = fe.stop_and_join();
     // Exactly-once reconciliation: every delivered frame is accounted for
     // as a completed submission or an explicit shed, nothing double-counted.
     EXPECT_EQ(result.transport.requests, result.transport.responses);
@@ -302,6 +440,43 @@ TEST(NetServer, GracefulStopAnswersEverySubmittedRequest) {
                                    result.transport.shed_on_shutdown);
     EXPECT_EQ(result.transport.shed_on_shutdown, shut);
     EXPECT_EQ(result.service.internal_errors, 0u);
+}
+
+TEST(NetServer, GracefulStopAnswersEverySubmittedRequest) {
+    graceful_stop_answers_every_submitted_request(Role::kServer);
+}
+TEST(NetRouter, GracefulStopAnswersEverySubmittedRequest) {
+    graceful_stop_answers_every_submitted_request(Role::kRouter);
+}
+
+/// 50 pipelined `stats` frames in one write against a 1 KiB write-queue
+/// bound: a few replies fill the queue and the rest of the chunk parks in
+/// the decoder. The client has nothing more to send, so only the write
+/// path can resume those frames — every one must still be answered.
+void resumes_frames_parked_behind_write_queue_limit(Role role) {
+    Frontend fe(role, /*write_queue_limit=*/1024);
+    Client client(fe.port());
+
+    std::string burst;
+    for (int i = 0; i < 50; ++i) {
+        burst += encode_frame(
+            R"({"op":"stats","id":"s)" + std::to_string(i) + "\"}", false);
+    }
+    ASSERT_TRUE(client.sock.write_all(burst));
+    for (int i = 0; i < 50; ++i) {
+        auto f = client.next(5000);
+        ASSERT_TRUE(f.has_value()) << "stats reply " << i << " of 50 missing";
+        EXPECT_EQ(io::Json::parse(f->payload).at("id").as_string(),
+                  "s" + std::to_string(i));
+    }
+    EXPECT_EQ(fe.stop_and_join().transport.control, 50u);
+}
+
+TEST(NetServer, ResumesFramesParkedBehindWriteQueueLimit) {
+    resumes_frames_parked_behind_write_queue_limit(Role::kServer);
+}
+TEST(NetRouter, ResumesFramesParkedBehindWriteQueueLimit) {
+    resumes_frames_parked_behind_write_queue_limit(Role::kRouter);
 }
 
 TEST(NetRepository, ReloadReproducesByteIdenticalResponses) {
@@ -480,6 +655,54 @@ TEST(NetRouter, StaticModeResendsPendingExactlyOnce) {
     // deterministic planning makes the retry safe.
     ASSERT_EQ(seen_wire.size(), 2u);
     EXPECT_EQ(seen_wire[0], seen_wire[1]);
+}
+
+/// A scripted "shard" that reads one forwarded request, hangs up and stops
+/// listening, so the router cannot reconnect. A graceful stop must still
+/// finish: the pending request is answered `shutdown` exactly once and
+/// counted as its response.
+TEST(NetRouter, GracefulStopAnswersPendingOnDownShard) {
+    Socket shard_listener = Socket::listen_tcp("127.0.0.1", 0, 16);
+    const int shard_port = shard_listener.local_port();
+
+    std::promise<void> got_request;
+    std::thread shard([&] {
+        std::optional<Socket> conn;
+        while (!conn.has_value()) {
+            conn = shard_listener.accept_one();
+        }
+        FrameDecoder dec;
+        char buf[4096];
+        while (!dec.next().has_value()) {
+            const IoResult r = conn->read_some(buf, sizeof(buf));
+            if (r.status != IoStatus::kOk) break;
+            dec.feed(buf, r.n);
+        }
+        conn->close();
+        shard_listener.close();
+        got_request.set_value();
+    });
+
+    RouterHandle router({shard_port});
+    Client client(router.port);
+    const auto inst = uavdc::testing::small_instance(8, 180.0, 59);
+    client.send(plan_request("only", inst), false);
+    got_request.get_future().wait();
+    shard.join();
+
+    const Router::RunResult res = router.stop_and_join();
+    auto f = client.next();
+    ASSERT_TRUE(f.has_value());
+    const io::Json doc = io::Json::parse(f->payload);
+    EXPECT_EQ(doc.at("id").as_string(), "only");
+    EXPECT_EQ(doc.at("status").as_string(), "shutdown");
+    EXPECT_FALSE(client.next().has_value()) << "duplicate response";
+    EXPECT_TRUE(client.eof);
+
+    EXPECT_EQ(res.transport.requests, 1u);
+    EXPECT_EQ(res.transport.responses, 1u);
+    EXPECT_EQ(res.transport.shed_on_shutdown, 0u);
+    EXPECT_TRUE(res.clean_shutdown);
 }
 
 TEST(NetSignal, TriggerSetsFlagAndWakesPipe) {
