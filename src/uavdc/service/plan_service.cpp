@@ -174,27 +174,20 @@ ResponseCache::Hit ResponseCache::get(std::uint64_t key_hi,
                                       std::uint64_t instance_check,
                                       bool copy_tree) {
     std::lock_guard lock(mu_);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        Entry& e = entries_[i];
-        if (e.key_hi != key_hi || e.key_lo != key_lo) continue;
-        if (e.options_canon != options_canon ||
-            e.instance_check != instance_check) {
-            // Fingerprint collision: the stored payload belongs to a
-            // different (instance, options) pair. Serving it would replay
-            // another request's plan as `ok`; miss instead.
-            ++misses_;
-            return {};
-        }
-        if (i != 0) {
-            const auto mid = entries_.begin() + static_cast<std::ptrdiff_t>(i);
-            std::rotate(entries_.begin(), mid, mid + 1);
-        }
-        ++hits_;
-        if (!copy_tree) return {true, io::Json(), entries_.front().wire};
-        return {true, entries_.front().result, entries_.front().wire};
+    const auto it = entries_.find(Key{key_hi, key_lo});
+    // A key match whose canon/check differs is a fingerprint collision: the
+    // stored payload belongs to a different (instance, options) pair.
+    // Serving it would replay another request's plan as `ok`; miss instead.
+    if (it == entries_.end() || it->second.options_canon != options_canon ||
+        it->second.instance_check != instance_check) {
+        ++misses_;
+        return {};
     }
-    ++misses_;
-    return {};
+    Entry& e = it->second;
+    e.last_use = ++clock_;
+    ++hits_;
+    if (!copy_tree) return {true, io::Json(), e.wire};
+    return {true, e.result, e.wire};
 }
 
 std::shared_ptr<const std::string> ResponseCache::put(
@@ -204,10 +197,16 @@ std::shared_ptr<const std::string> ResponseCache::put(
     // part, and every future hit reuses this one string.
     auto wire = std::make_shared<const std::string>(result.dump());
     std::lock_guard lock(mu_);
-    entries_.insert(entries_.begin(),
-                    Entry{key_hi, key_lo, std::move(options_canon),
-                          instance_check, std::move(result), wire});
-    if (entries_.size() > capacity_) entries_.pop_back();
+    entries_[Key{key_hi, key_lo}] =
+        Entry{std::move(options_canon), instance_check, std::move(result),
+              wire, ++clock_};
+    if (entries_.size() > capacity_) {
+        entries_.erase(std::min_element(
+            entries_.begin(), entries_.end(),
+            [](const auto& a, const auto& b) {
+                return a.second.last_use < b.second.last_use;
+            }));
+    }
     return wire;
 }
 
@@ -290,12 +289,10 @@ bool PlanService::submit(PlanRequest req, Callback cb) {
         ++counters_.submitted;
     }
     // Remember the inline instance before any shedding decision so that
-    // pipelined instance_ref requests behind this one stay resolvable.
-    if (req.instance) {
-        std::string ignored;
-        ResponseStatus ignored_status = ResponseStatus::kOk;
-        (void)resolve_instance(req, ignored, ignored_status);
-    }
+    // pipelined instance_ref requests behind this one stay resolvable. The
+    // resolution rides along to the worker, which then skips it.
+    std::optional<Resolved> resolved;
+    if (req.instance) resolved = resolve_instance(req);
 
     PlanResponse reject;
     reject.id = req.id;
@@ -312,6 +309,7 @@ bool PlanService::submit(PlanRequest req, Callback cb) {
         } else {
             Pending p;
             p.req = std::move(req);
+            p.resolved = std::move(resolved);
             p.cb = std::move(cb);
             p.admitted = now;
             p.has_deadline = p.req.deadline_ms > 0.0;
@@ -430,7 +428,8 @@ void PlanService::run_one() {
                      std::to_string(ms_between(p.admitted, start)) +
                      " ms in queue";
     } else {
-        resp = execute(p.req);
+        resp = p.resolved ? execute_resolved(p.req, *p.resolved)
+                          : execute(p.req);
         if (p.has_deadline && Clock::now() >= p.deadline &&
             resp.status == ResponseStatus::kOk) {
             // Cooperative timeout: the planner ran to completion past the
@@ -477,75 +476,81 @@ void PlanService::finish(PlanResponse resp, const Pending& p,
     p.cb(std::move(resp));
 }
 
-std::shared_ptr<const model::Instance> PlanService::resolve_instance(
-    const PlanRequest& req, std::string& error, ResponseStatus& status) {
+PlanService::Registered PlanService::register_instance(
+    const model::Instance& inst, bool& inserted) {
+    const std::uint64_t fp =
+        core::PlanningContext::instance_fingerprint(inst);
+    std::lock_guard lock(inst_mu_);
+    const auto it = instances_.find(fp);
+    inserted = it == instances_.end();
+    if (!inserted) return it->second;
+    Registered entry{std::make_shared<const model::Instance>(inst), fp,
+                     instance_check_hash(inst)};
+    instances_.emplace(fp, entry);
+    instance_order_.push_back(fp);
+    if (instance_order_.size() > cfg_.instance_capacity) {
+        instances_.erase(instance_order_.front());
+        instance_order_.pop_front();
+    }
+    return entry;
+}
+
+PlanService::Resolved PlanService::resolve_instance(const PlanRequest& req) {
+    Resolved r;
     if (req.instance) {
-        const std::uint64_t fp =
-            core::PlanningContext::instance_fingerprint(*req.instance);
-        std::shared_ptr<const model::Instance> inst;
         bool inserted = false;
-        {
-            std::lock_guard lock(inst_mu_);
-            auto it = instances_.find(fp);
-            if (it != instances_.end()) {
-                // The 64-bit fingerprint alone would silently resolve a
-                // colliding instance to whatever was stored first — a wrong
-                // answer with no detection path. We hold the submitted
-                // content right here, so verify it (cheap next to planning)
-                // and fail loudly instead of planning the wrong instance.
-                if (!same_planning_content(*it->second, *req.instance)) {
-                    error = "instance fingerprint collision: inline instance "
-                            "hashes to " + fingerprint_to_hex(fp) +
-                            " but differs from the instance registered under "
-                            "that fingerprint";
-                    status = ResponseStatus::kInternalError;
-                    return nullptr;
-                }
-                inst = it->second;
-            } else {
-                inst = std::make_shared<const model::Instance>(*req.instance);
-                instances_.emplace(fp, inst);
-                instance_order_.push_back(fp);
-                while (instance_order_.size() > cfg_.instance_capacity) {
-                    instances_.erase(instance_order_.front());
-                    instance_order_.erase(instance_order_.begin());
-                }
-                inserted = true;
-            }
+        r.entry = register_instance(*req.instance, inserted);
+        // The 64-bit fingerprint alone would silently resolve a colliding
+        // instance to whatever was stored first — a wrong answer with no
+        // detection path. We hold the submitted content right here, so
+        // verify it (cheap next to planning) and fail loudly instead of
+        // planning the wrong instance.
+        if (!inserted &&
+            !same_planning_content(*r.entry.instance, *req.instance)) {
+            r.error = "instance fingerprint collision: inline instance "
+                      "hashes to " + fingerprint_to_hex(r.entry.fingerprint) +
+                      " but differs from the instance registered under "
+                      "that fingerprint";
+            r.status = ResponseStatus::kInternalError;
+            r.entry = {};
+        } else if (inserted && cfg_.store.on_instance) {
+            // Durability tap runs outside inst_mu_: the hook does file I/O
+            // and must not serialize every concurrent lookup behind it.
+            cfg_.store.on_instance(r.entry.fingerprint, *r.entry.instance);
         }
-        // Durability tap runs outside inst_mu_: the hook does file I/O and
-        // must not serialize every concurrent instance lookup behind it.
-        if (inserted && cfg_.store.on_instance) {
-            cfg_.store.on_instance(fp, *inst);
-        }
-        return inst;
+        return r;
     }
     if (req.instance_ref) {
         std::lock_guard lock(inst_mu_);
         auto it = instances_.find(*req.instance_ref);
-        if (it != instances_.end()) return it->second;
-        error = "unknown instance_ref '" +
-                fingerprint_to_hex(*req.instance_ref) +
-                "' (instances must be sent inline once before being "
-                "referenced)";
-        status = ResponseStatus::kBadRequest;
-        return nullptr;
+        if (it != instances_.end()) {
+            r.entry = it->second;
+            return r;
+        }
+        r.error = "unknown instance_ref '" +
+                  fingerprint_to_hex(*req.instance_ref) +
+                  "' (instances must be sent inline once before being "
+                  "referenced)";
+    } else {
+        r.error =
+            "request carries neither an inline instance nor an instance_ref";
     }
-    error = "request carries neither an inline instance nor an instance_ref";
-    status = ResponseStatus::kBadRequest;
-    return nullptr;
+    r.status = ResponseStatus::kBadRequest;
+    return r;
 }
 
 PlanResponse PlanService::execute(const PlanRequest& req) {
+    return execute_resolved(req, resolve_instance(req));
+}
+
+PlanResponse PlanService::execute_resolved(const PlanRequest& req,
+                                           const Resolved& r) {
     PlanResponse resp;
     resp.id = req.id;
 
-    std::string error;
-    ResponseStatus error_status = ResponseStatus::kBadRequest;
-    const auto inst = resolve_instance(req, error, error_status);
-    if (!inst) {
-        resp.status = error_status;
-        resp.error = error;
+    if (!r.entry.instance) {
+        resp.status = r.status;
+        resp.error = r.error;
         return resp;
     }
     if (!known_planner(req.planner)) {
@@ -554,11 +559,10 @@ PlanResponse PlanService::execute(const PlanRequest& req) {
         return resp;
     }
     const core::PlannerOptions opts = req.overrides.resolve(cfg_.defaults);
-    const std::uint64_t inst_fp =
-        core::PlanningContext::instance_fingerprint(*inst);
+    const std::uint64_t inst_fp = r.entry.fingerprint;
     const std::uint64_t opts_fp = options_fingerprint(req.planner, opts);
     const std::string canon = canonical_options(req.planner, opts);
-    const std::uint64_t check = instance_check_hash(*inst);
+    const std::uint64_t check = r.entry.check_hash;
 
     if (auto hit = cache_.get(inst_fp, opts_fp, canon, check,
                               /*copy_tree=*/!cfg_.wire_only_hits);
@@ -572,7 +576,8 @@ PlanResponse PlanService::execute(const PlanRequest& req) {
     try {
         auto planner = core::make_planner(req.planner, opts);
         const auto ctx =
-            core::PlanningContext::obtain(*inst, opts.hover_config());
+            core::PlanningContext::obtain(*r.entry.instance,
+                                          opts.hover_config());
         auto res = planner->plan(*ctx);
         io::Json result;
         result["instance_fingerprint"] = fingerprint_to_hex(inst_fp);
@@ -595,16 +600,8 @@ PlanResponse PlanService::execute(const PlanRequest& req) {
 }
 
 void PlanService::preload_instance(const model::Instance& inst) {
-    const std::uint64_t fp =
-        core::PlanningContext::instance_fingerprint(inst);
-    std::lock_guard lock(inst_mu_);
-    if (instances_.count(fp) != 0) return;
-    instances_.emplace(fp, std::make_shared<const model::Instance>(inst));
-    instance_order_.push_back(fp);
-    while (instance_order_.size() > cfg_.instance_capacity) {
-        instances_.erase(instance_order_.front());
-        instance_order_.erase(instance_order_.begin());
-    }
+    bool inserted = false;
+    (void)register_instance(inst, inserted);
 }
 
 void PlanService::preload_response(std::uint64_t key_hi, std::uint64_t key_lo,

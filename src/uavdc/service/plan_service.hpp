@@ -3,11 +3,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "uavdc/core/metrics.hpp"
@@ -76,13 +80,15 @@ struct ServiceStats {
 /// value on every hit.
 [[nodiscard]] std::uint64_t instance_check_hash(const model::Instance& inst);
 
-/// Bounded, thread-safe, MRU-ordered response cache keyed on the
-/// (instance fingerprint, planner+options fingerprint) pair. The 128-bit
-/// key alone cannot prove identity, so each entry also carries the
-/// canonical options encoding and the independent instance check hash;
-/// `get` answers a hit only when all four match, and counts anything less
-/// as a miss (the subsequent `put` then stores the new payload under the
-/// same key, ahead of the colliding entry in MRU order).
+/// Bounded, thread-safe LRU response cache keyed on the (instance
+/// fingerprint, planner+options fingerprint) pair. A hash index makes `get`
+/// O(1); recency is a per-entry use stamp, so only a `put` past capacity
+/// scans for the least recently used entry — and a `put` follows a miss that
+/// just paid for a whole plan. The 128-bit key alone cannot prove identity,
+/// so each entry also carries the canonical options encoding and the
+/// independent instance check hash; `get` answers a hit only when all four
+/// match, and counts anything less as a miss. A `put` under a key already
+/// present replaces that entry (the colliding one included).
 class ResponseCache {
   public:
     explicit ResponseCache(std::size_t capacity) : capacity_(capacity) {}
@@ -95,7 +101,7 @@ class ResponseCache {
         std::shared_ptr<const std::string> wire;
     };
 
-    /// Lookup; moves a verified hit to the MRU front and counts it. A key
+    /// Lookup; marks a verified hit most recently used and counts it. A key
     /// match whose canon/check differs counts as a miss. `copy_tree` false
     /// leaves Hit::result null and returns only the shared wire string —
     /// the deep copy of a plan tree is the dominant cost of a hit, and
@@ -105,9 +111,9 @@ class ResponseCache {
                           std::uint64_t instance_check,
                           bool copy_tree = true);
 
-    /// Insert at the MRU front, evicting from the back past capacity.
-    /// Serializes `result` once and returns the shared wire form (the same
-    /// string subsequent hits carry).
+    /// Insert or replace as most recently used, evicting the least recently
+    /// used entry past capacity. Serializes `result` once and returns the
+    /// shared wire form (the same string subsequent hits carry).
     std::shared_ptr<const std::string> put(std::uint64_t key_hi,
                                            std::uint64_t key_lo,
                                            std::string options_canon,
@@ -119,18 +125,25 @@ class ResponseCache {
     [[nodiscard]] std::size_t size() const;
 
   private:
+    using Key = std::pair<std::uint64_t, std::uint64_t>;  ///< (hi, lo)
+    struct KeyHash {
+        std::size_t operator()(const Key& k) const {
+            return static_cast<std::size_t>(
+                k.first ^ (k.second * 0x9e3779b97f4a7c15ULL));
+        }
+    };
     struct Entry {
-        std::uint64_t key_hi;
-        std::uint64_t key_lo;
         std::string options_canon;    ///< verified on every key match
         std::uint64_t instance_check; ///< verified on every key match
         io::Json result;
         std::shared_ptr<const std::string> wire;  ///< result.dump(), shared
+        std::uint64_t last_use;       ///< use stamp; the minimum is evicted
     };
 
     std::size_t capacity_;
     mutable std::mutex mu_;
-    std::vector<Entry> entries_;  ///< MRU first, linear scan
+    std::unordered_map<Key, Entry, KeyHash> entries_;
+    std::uint64_t clock_{0};  ///< last issued use stamp
     std::uint64_t hits_{0};
     std::uint64_t misses_{0};
 };
@@ -157,9 +170,11 @@ class ResponseCache {
 ///
 /// Duplicate suppression: responses are cached by (instance fingerprint,
 /// planner, resolved options). A hit returns the byte-identical `result`
-/// payload of the original run without replanning. Planning itself runs
-/// against the process-wide `PlanningContext` LRU, so even cache *misses*
-/// on a known instance skip the candidate precompute.
+/// payload of the original run without replanning, and costs no work per
+/// device: the instance's fingerprint and check hash are computed once,
+/// when the instance is registered, and a hit is an O(1) cache lookup.
+/// Planning itself runs against the process-wide `PlanningContext` LRU, so
+/// even cache *misses* on a known instance skip the candidate precompute.
 ///
 /// Thread safety: submit/drain/stats/shutdown may be called from any
 /// thread. Callbacks run on worker threads (or on the submitting thread
@@ -246,8 +261,29 @@ class PlanService {
   private:
     using Clock = std::chrono::steady_clock;
 
+    /// A registry entry: the instance and both of its content hashes,
+    /// computed once when the instance is first registered.
+    struct Registered {
+        std::shared_ptr<const model::Instance> instance;
+        std::uint64_t fingerprint{0};
+        std::uint64_t check_hash{0};
+    };
+
+    /// Outcome of resolving a request's instance. On failure
+    /// `entry.instance` is null and `error`/`status` say why
+    /// (`bad_request` for client mistakes, `internal_error` for a detected
+    /// fingerprint collision in the registry).
+    struct Resolved {
+        Registered entry;
+        std::string error;
+        ResponseStatus status{ResponseStatus::kOk};
+    };
+
     struct Pending {
         PlanRequest req;
+        /// Set when submit() already resolved an inline instance, so the
+        /// worker neither hashes nor compares it again.
+        std::optional<Resolved> resolved;
         Callback cb;
         Clock::time_point admitted;
         Clock::time_point deadline;  ///< admitted + deadline_ms
@@ -261,11 +297,15 @@ class PlanService {
     void run_one();
     void finish(PlanResponse resp, const Pending& p, Clock::time_point start);
     /// Resolve the request's instance (inline or by fingerprint ref).
-    /// On failure returns nullptr with `error` and `status` filled
-    /// (`bad_request` for client mistakes, `internal_error` for a detected
-    /// fingerprint collision in the registry).
-    [[nodiscard]] std::shared_ptr<const model::Instance> resolve_instance(
-        const PlanRequest& req, std::string& error, ResponseStatus& status);
+    [[nodiscard]] Resolved resolve_instance(const PlanRequest& req);
+    /// Return the entry registered under `inst`'s fingerprint, registering
+    /// `inst` (both hashes computed here, once) when the fingerprint is new;
+    /// `inserted` tells which. Registration evicts in FIFO order.
+    [[nodiscard]] Registered register_instance(const model::Instance& inst,
+                                               bool& inserted);
+    /// execute() after resolution: plan or replay against `r`'s entry.
+    [[nodiscard]] PlanResponse execute_resolved(const PlanRequest& req,
+                                                const Resolved& r);
     void note_latency(const std::string& planner, double seconds);
 
     Config cfg_;
@@ -279,11 +319,12 @@ class PlanService {
     std::uint64_t next_seq_{0};
     bool stopping_{false};
 
-    // Instance registry: fingerprint -> instance, bounded FIFO eviction.
+    // Instance registry: fingerprint -> {instance, fingerprint, check hash},
+    // hashed once on inline registration or preload_instance (which
+    // repository reload goes through); bounded FIFO eviction.
     mutable std::mutex inst_mu_;
-    std::map<std::uint64_t, std::shared_ptr<const model::Instance>>
-        instances_;
-    std::vector<std::uint64_t> instance_order_;
+    std::unordered_map<std::uint64_t, Registered> instances_;
+    std::deque<std::uint64_t> instance_order_;
 
     // Response cache: (instance fp, planner+options fp) -> result payload,
     // with the canonical options encoding and an independent instance check

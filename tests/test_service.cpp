@@ -832,5 +832,233 @@ TEST(Service, ResponseLineMatchesJsonDump) {
     EXPECT_EQ(response_line(bad), to_json(bad).dump());
 }
 
+// --- Hits verify against the hashes stored at registration.
+
+/// One response record exactly as the durability tap sees it.
+struct StoredResponse {
+    std::uint64_t key_hi{0};
+    std::uint64_t key_lo{0};
+    std::string canon;
+    std::uint64_t check{0};
+    io::Json result;
+};
+
+/// Plan `inst` once on a clean service and capture the record its
+/// `on_response` tap emits: the real cache key, canon and check hash.
+StoredResponse clean_record(const model::Instance& inst,
+                            const std::string& planner) {
+    PlanService::Config cfg;
+    cfg.workers = 1;
+    cfg.defaults = fast_options();
+    StoredResponse rec;
+    cfg.store.on_response = [&](std::uint64_t hi, std::uint64_t lo,
+                                const std::string& canon, std::uint64_t check,
+                                const io::Json& result) {
+        rec = {hi, lo, canon, check, result};
+    };
+    PlanService svc(cfg);
+    EXPECT_EQ(svc.execute(make_request("clean", planner, inst)).status,
+              ResponseStatus::kOk);
+    return rec;
+}
+
+PlanRequest by_ref(std::string id, std::string planner,
+                   const model::Instance& inst) {
+    PlanRequest req;
+    req.id = std::move(id);
+    req.planner = std::move(planner);
+    req.instance_ref = core::PlanningContext::instance_fingerprint(inst);
+    return req;
+}
+
+/// Seed a by-ref service with `forged` under the clean record's key; the
+/// request must replan (a counted miss) to the clean service's result, and
+/// the replan must replace the forged entry so the next request hits.
+void expect_forged_entry_misses(const model::Instance& inst,
+                                const StoredResponse& clean,
+                                std::string forged_canon,
+                                std::uint64_t forged_check) {
+    PlanService::Config cfg;
+    cfg.workers = 1;
+    cfg.defaults = fast_options();
+    PlanService svc(cfg);
+    svc.preload_instance(inst);
+    io::Json forged;
+    forged["forged"] = true;
+    svc.preload_response(clean.key_hi, clean.key_lo, std::move(forged_canon),
+                         forged_check, forged);
+
+    const PlanResponse miss = svc.execute(by_ref("a", "alg2", inst));
+    ASSERT_EQ(miss.status, ResponseStatus::kOk) << miss.error;
+    EXPECT_FALSE(miss.cache_hit);
+    EXPECT_EQ(result_key(miss.result), result_key(clean.result));
+    EXPECT_EQ(svc.stats().cache_misses, 1u);
+    EXPECT_EQ(svc.stats().cache_hits, 0u);
+
+    const PlanResponse hit = svc.execute(by_ref("b", "alg2", inst));
+    ASSERT_EQ(hit.status, ResponseStatus::kOk) << hit.error;
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.result.dump(), miss.result.dump());
+}
+
+TEST(Service, ByRefHitWithWrongInstanceCheckReplans) {
+    const auto inst = uavdc::testing::small_instance(14, 200.0, 91);
+    const StoredResponse clean = clean_record(inst, "alg2");
+    expect_forged_entry_misses(inst, clean, clean.canon, clean.check ^ 1);
+}
+
+TEST(Service, ByRefHitWithWrongOptionsCanonReplans) {
+    const auto inst = uavdc::testing::small_instance(14, 200.0, 92);
+    const StoredResponse clean = clean_record(inst, "alg2");
+    expect_forged_entry_misses(inst, clean, clean.canon + ";x", clean.check);
+}
+
+TEST(Service, PreloadedInstanceAndResponseServeAByRefHit) {
+    const auto inst = uavdc::testing::small_instance(14, 200.0, 93);
+    const StoredResponse clean = clean_record(inst, "alg2");
+    PlanService::Config cfg;
+    cfg.workers = 1;
+    cfg.defaults = fast_options();
+    PlanService svc(cfg);
+    svc.preload_instance(inst);
+    svc.preload_response(clean.key_hi, clean.key_lo, clean.canon,
+                         clean.check, clean.result);
+
+    const PlanResponse resp = svc.execute(by_ref("r", "alg2", inst));
+    ASSERT_EQ(resp.status, ResponseStatus::kOk) << resp.error;
+    EXPECT_TRUE(resp.cache_hit);
+    EXPECT_EQ(resp.result.dump(), clean.result.dump());
+    EXPECT_EQ(svc.stats().cache_misses, 0u);
+}
+
+TEST(Service, QueuedInlineRequestKeepsItsSubmitTimeRegistration) {
+    const auto a = uavdc::testing::small_instance(12, 180.0, 94);
+    const auto b = uavdc::testing::small_instance(12, 180.0, 95);
+    util::ThreadPool pool(1);
+    std::promise<void> gate;
+    auto blocker = pool.submit([&] { gate.get_future().wait(); });
+
+    PlanService::Config cfg;
+    cfg.instance_capacity = 1;
+    cfg.defaults = fast_options();
+    std::mutex mu;
+    int registrations = 0;
+    cfg.store.on_instance = [&](std::uint64_t, const model::Instance&) {
+        std::lock_guard lock(mu);
+        ++registrations;
+    };
+    PlanService svc(cfg, &pool);
+
+    // Both wait behind the blocked worker; registering `b` evicts `a`.
+    std::vector<PlanResponse> out(2);
+    svc.submit(make_request("a", "alg2", a),
+               [&](PlanResponse r) { out[0] = std::move(r); });
+    svc.submit(make_request("b", "alg2", b),
+               [&](PlanResponse r) { out[1] = std::move(r); });
+    gate.set_value();
+    blocker.get();
+    svc.drain();
+
+    // The workers plan against the entries resolved at submit: neither
+    // instance is hashed or registered again, although `a` was evicted.
+    EXPECT_EQ(registrations, 2);
+    ASSERT_EQ(out[0].status, ResponseStatus::kOk) << out[0].error;
+    ASSERT_EQ(out[1].status, ResponseStatus::kOk) << out[1].error;
+    EXPECT_EQ(result_key(out[0].result), direct_key(a, "alg2", cfg.defaults));
+    EXPECT_EQ(result_key(out[1].result), direct_key(b, "alg2", cfg.defaults));
+}
+
+// --- Response cache index: exact LRU, replace on re-put, thread safety.
+
+io::Json tagged(const std::string& tag) {
+    io::Json j;
+    j["tag"] = tag;
+    return j;
+}
+
+std::string tag_of(const ResponseCache::Hit& hit) {
+    return hit.result.at("tag").as_string();
+}
+
+TEST(ServiceResponseCache, GetRefreshesRecencyForEviction) {
+    ResponseCache cache(3);
+    cache.put(1, 1, "o", 7, tagged("k1"));
+    cache.put(2, 2, "o", 7, tagged("k2"));
+    cache.put(3, 3, "o", 7, tagged("k3"));
+    ASSERT_TRUE(cache.get(1, 1, "o", 7).found);  // k1 now most recent
+    cache.put(4, 4, "o", 7, tagged("k4"));
+
+    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_FALSE(cache.get(2, 2, "o", 7).found) << "k2 was least recent";
+    EXPECT_EQ(tag_of(cache.get(1, 1, "o", 7)), "k1");
+    EXPECT_EQ(tag_of(cache.get(3, 3, "o", 7)), "k3");
+    EXPECT_EQ(tag_of(cache.get(4, 4, "o", 7)), "k4");
+}
+
+TEST(ServiceResponseCache, PutUnderAPresentKeyReplacesTheEntry) {
+    ResponseCache cache(4);
+    cache.put(5, 6, "o", 7, tagged("old"));
+    const auto wire = cache.put(5, 6, "o", 7, tagged("new"));
+    EXPECT_EQ(cache.size(), 1u);
+    const auto hit = cache.get(5, 6, "o", 7);
+    ASSERT_TRUE(hit.found);
+    EXPECT_EQ(tag_of(hit), "new");
+    EXPECT_EQ(hit.wire, wire);
+}
+
+TEST(ServiceResponseCache, CollidingKeyMissesThenIsReplaced) {
+    ResponseCache cache(4);
+    cache.put(9, 9, "opts-a", 1, tagged("a"));
+    EXPECT_FALSE(cache.get(9, 9, "opts-b", 1).found);
+    EXPECT_EQ(cache.misses(), 1u);
+
+    cache.put(9, 9, "opts-b", 1, tagged("b"));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(tag_of(cache.get(9, 9, "opts-b", 1)), "b");
+    EXPECT_FALSE(cache.get(9, 9, "opts-a", 1).found);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 2u);
+}
+
+TEST(ServiceResponseCache, ConcurrentGetPutCountsReconcile) {
+    constexpr std::size_t kCapacity = 16;
+    constexpr int kThreads = 4;
+    constexpr int kOps = 2000;
+    ResponseCache cache(kCapacity);
+    std::vector<std::thread> threads;
+    std::vector<int> gets(kThreads, 0);
+    std::vector<int> wrong(kThreads, 0);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kOps; ++i) {
+                // Every other op touches one of 4 hot keys (hits once
+                // cached); the rest cycle 24 cold keys through eviction.
+                const auto key = static_cast<std::uint64_t>(
+                    i % 2 == 0 ? (i / 2) % 4 : 4 + (i * 7 + t) % 24);
+                const std::string tag = std::to_string(key);
+                const auto hit = cache.get(key, ~key, tag, key);
+                ++gets[static_cast<std::size_t>(t)];
+                if (!hit.found) {
+                    cache.put(key, ~key, tag, key, tagged(tag));
+                } else if (tag_of(hit) != tag) {
+                    ++wrong[static_cast<std::size_t>(t)];
+                }
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+
+    int total_gets = 0;
+    for (int t = 0; t < kThreads; ++t) {
+        total_gets += gets[static_cast<std::size_t>(t)];
+        EXPECT_EQ(wrong[static_cast<std::size_t>(t)], 0);
+    }
+    EXPECT_EQ(cache.hits() + cache.misses(),
+              static_cast<std::uint64_t>(total_gets));
+    EXPECT_GT(cache.hits(), 0u);
+    EXPECT_GT(cache.misses(), 0u);
+    EXPECT_LE(cache.size(), kCapacity);
+}
+
 }  // namespace
 }  // namespace uavdc::service
