@@ -1,9 +1,7 @@
 #include "uavdc/core/algorithm2.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory_resource>
-#include <optional>
 
 #include "uavdc/core/batch_kernels.hpp"
 #include "uavdc/core/planning_context.hpp"
@@ -11,7 +9,6 @@
 #include "uavdc/graph/christofides.hpp"
 #include "uavdc/util/check.hpp"
 #include "uavdc/util/parallel_for.hpp"
-#include "uavdc/util/timer.hpp"
 
 namespace uavdc::core {
 
@@ -78,67 +75,22 @@ double rank_ratio(RatioRule rule, double new_mb, double extra_hover,
 }  // namespace
 
 PlanResult GreedyCoveragePlanner::plan(const PlanningContext& ctx) {
-    auto run = [&](const CandidateView& view) {
-        return cfg_.scoring == ScoringEngine::kReference
-                   ? plan_reference(ctx, view)
-                   : plan_incremental(ctx, view);
-    };
-    if (!cfg_.reduction.enabled()) {
-        return run(CandidateView{&ctx.candidates(), &ctx.candidate_soa(), {},
-                                 &ctx.inverted_coverage()});
-    }
-    util::Timer timer;
-    const ReducedCandidates& reduced = ctx.reduced_candidates(cfg_.reduction);
-    PlanResult out = run(reduced.view());
-    int iterations = out.stats.iterations;
-    if (cfg_.reduction.refine_band_m > 0.0 && !out.plan.stops.empty()) {
-        // Refine-and-replan: reinstate the originals near the incumbent tour
-        // and keep the better of the two plans (by collected volume).
-        std::vector<geom::Vec2> stops;
-        stops.reserve(out.plan.stops.size());
-        for (const auto& s : out.plan.stops) stops.push_back(s.pos);
-        const ReducedCandidates refined = refine_near_tour(
-            ctx.candidates(), reduced, stops, ctx.instance().depot,
-            cfg_.reduction.refine_band_m, ctx.instance().devices.size());
-        if (refined.set.candidates.size() > reduced.set.candidates.size()) {
-            PlanResult replanned = run(refined.view());
-            iterations += replanned.stats.iterations;
-            if (replanned.stats.planned_mb > out.stats.planned_mb) {
-                out = std::move(replanned);
-            }
-        }
-    }
-    if (out.plan.stops.empty()) {
-        // Reduction must never turn a collectable mission into an empty
-        // plan (a cramped budget can leave only pruned candidates in
-        // reach, and the refine band has no incumbent tour to grow from).
-        // Fall back to the full set — the pathological case pays the full
-        // planning cost, every other case keeps the reduction win.
-        PlanResult full =
-            run(CandidateView{&ctx.candidates(), &ctx.candidate_soa(), {},
-                              &ctx.inverted_coverage()});
-        iterations += full.stats.iterations;
-        if (full.stats.planned_mb > out.stats.planned_mb) {
-            out = std::move(full);
-        }
-    }
-    out.stats.iterations = iterations;
-    out.stats.runtime_s = timer.seconds();
-    return out;
+    return plan_over_candidates(
+        ctx, cfg_.reduction,
+        [&](const CandidateView& view) { return plan_view(ctx, view); });
+}
+
+PlanResult GreedyCoveragePlanner::plan_view(const PlanningContext& ctx,
+                                            const CandidateView& view) {
+    return cfg_.scoring == ScoringEngine::kReference
+               ? plan_reference(ctx, view)
+               : plan_incremental(ctx, view);
 }
 
 PlanResult GreedyCoveragePlanner::plan_reference(const PlanningContext& ctx,
                                                  const CandidateView& view) {
-    util::Timer timer;
-    PlanResult out;
     const model::Instance& inst = ctx.instance();
-
     const auto& cands = view.set->candidates;
-    out.stats.candidates = util::checked_cast<int>(cands.size());
-    if (cands.empty()) {
-        out.stats.runtime_s = timer.seconds();
-        return out;
-    }
 
     const double bw = inst.uav.bandwidth_mbps;
     const double eta_h = inst.uav.hover_power_w;
@@ -249,31 +201,14 @@ PlanResult GreedyCoveragePlanner::plan_reference(const PlanningContext& ctx,
     }
     tour.reoptimize();
 
-    for (std::size_t i = 0; i < tour.size(); ++i) {
-        const auto ci = static_cast<std::size_t>(tour.keys()[i]);
-        out.plan.stops.push_back(
-            {tour.stops()[i], dwell_of[ci], cands[ci].cell_id});
-    }
-    out.stats.planned_mb = collected_mb;
-    out.stats.planned_energy_j =
-        hover_energy + inst.uav.travel_energy(tour.length());
-    out.stats.iterations = iterations;
-    out.stats.runtime_s = timer.seconds();
-    return out;
+    return assemble_plan(ctx, view, tour, dwell_of, collected_mb,
+                         hover_energy, iterations);
 }
 
 PlanResult GreedyCoveragePlanner::plan_incremental(
     const PlanningContext& ctx, const CandidateView& view) {
-    util::Timer timer;
-    PlanResult out;
     const model::Instance& inst = ctx.instance();
-
     const auto& cands = view.set->candidates;
-    out.stats.candidates = util::checked_cast<int>(cands.size());
-    if (cands.empty()) {
-        out.stats.runtime_s = timer.seconds();
-        return out;
-    }
     const std::size_t n = cands.size();
 
     const double eta_h = inst.uav.hover_power_w;
@@ -303,15 +238,10 @@ PlanResult GreedyCoveragePlanner::plan_incremental(
     const CandidateSoa& csoa = *view.soa;
     InsertionCache cache(tour, std::span(csoa.pos.xs.data(), n),
                          std::span(csoa.pos.ys.data(), n), mr);
-    // Device -> covering-candidates inversion: reuse the view's prebuilt
-    // index (context- or reduction-memoized; the warm-serve win), building
-    // locally only for bare views.
-    std::optional<InvertedCoverageIndex> local_inverted;
-    if (view.inverted == nullptr) {
-        local_inverted.emplace(*view.set, inst.devices.size());
-    }
-    const InvertedCoverageIndex& inverted =
-        view.inverted != nullptr ? *view.inverted : *local_inverted;
+    // Device -> covering-candidates inversion, prebuilt with the view
+    // (context- or reduction-memoized; the warm-serve win).
+    UAVDC_DCHECK(view.inverted != nullptr);
+    const InvertedCoverageIndex& inverted = *view.inverted;
     LazyGreedyQueue queue(n);
 
     // Residual gains, refreshed only for candidates whose coverage
@@ -498,17 +428,8 @@ PlanResult GreedyCoveragePlanner::plan_incremental(
     }
     tour.reoptimize();
 
-    for (std::size_t i = 0; i < tour.size(); ++i) {
-        const auto ci = static_cast<std::size_t>(tour.keys()[i]);
-        out.plan.stops.push_back(
-            {tour.stops()[i], dwell_of[ci], cands[ci].cell_id});
-    }
-    out.stats.planned_mb = collected_mb;
-    out.stats.planned_energy_j =
-        hover_energy + inst.uav.travel_energy(tour.length());
-    out.stats.iterations = iterations;
-    out.stats.runtime_s = timer.seconds();
-    return out;
+    return assemble_plan(ctx, view, tour, dwell_of, collected_mb,
+                         hover_energy, iterations);
 }
 
 }  // namespace uavdc::core

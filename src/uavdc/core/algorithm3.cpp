@@ -1,16 +1,13 @@
 #include "uavdc/core/algorithm3.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory_resource>
-#include <optional>
 
 #include "uavdc/core/batch_kernels.hpp"
 #include "uavdc/core/planning_context.hpp"
 #include "uavdc/core/tour_builder.hpp"
 #include "uavdc/util/check.hpp"
 #include "uavdc/util/parallel_for.hpp"
-#include "uavdc/util/timer.hpp"
 
 namespace uavdc::core {
 
@@ -34,65 +31,22 @@ struct Score {
 PlanResult PartialCollectionPlanner::plan(const PlanningContext& ctx) {
     UAVDC_REQUIRE(cfg_.k >= 1)
         << "PartialCollectionPlanner: k must be >= 1, got " << cfg_.k;
-    auto run = [&](const CandidateView& view) {
-        return cfg_.scoring == ScoringEngine::kReference
-                   ? plan_reference(ctx, view)
-                   : plan_incremental(ctx, view);
-    };
-    if (!cfg_.reduction.enabled()) {
-        return run(CandidateView{&ctx.candidates(), &ctx.candidate_soa(), {},
-                                 &ctx.inverted_coverage()});
-    }
-    util::Timer timer;
-    const ReducedCandidates& reduced = ctx.reduced_candidates(cfg_.reduction);
-    PlanResult out = run(reduced.view());
-    int iterations = out.stats.iterations;
-    if (cfg_.reduction.refine_band_m > 0.0 && !out.plan.stops.empty()) {
-        // Refine-and-replan: reinstate the originals near the incumbent tour
-        // and keep the better of the two plans (by collected volume).
-        std::vector<geom::Vec2> stops;
-        stops.reserve(out.plan.stops.size());
-        for (const auto& s : out.plan.stops) stops.push_back(s.pos);
-        const ReducedCandidates refined = refine_near_tour(
-            ctx.candidates(), reduced, stops, ctx.instance().depot,
-            cfg_.reduction.refine_band_m, ctx.instance().devices.size());
-        if (refined.set.candidates.size() > reduced.set.candidates.size()) {
-            PlanResult replanned = run(refined.view());
-            iterations += replanned.stats.iterations;
-            if (replanned.stats.planned_mb > out.stats.planned_mb) {
-                out = std::move(replanned);
-            }
-        }
-    }
-    if (out.plan.stops.empty()) {
-        // Same fallback as GreedyCoveragePlanner::plan: an empty reduced
-        // plan means the pruning removed every reachable candidate, so
-        // re-plan on the full set rather than report zero collection.
-        PlanResult full =
-            run(CandidateView{&ctx.candidates(), &ctx.candidate_soa(), {},
-                              &ctx.inverted_coverage()});
-        iterations += full.stats.iterations;
-        if (full.stats.planned_mb > out.stats.planned_mb) {
-            out = std::move(full);
-        }
-    }
-    out.stats.iterations = iterations;
-    out.stats.runtime_s = timer.seconds();
-    return out;
+    return plan_over_candidates(
+        ctx, cfg_.reduction,
+        [&](const CandidateView& view) { return plan_view(ctx, view); });
+}
+
+PlanResult PartialCollectionPlanner::plan_view(const PlanningContext& ctx,
+                                               const CandidateView& view) {
+    return cfg_.scoring == ScoringEngine::kReference
+               ? plan_reference(ctx, view)
+               : plan_incremental(ctx, view);
 }
 
 PlanResult PartialCollectionPlanner::plan_reference(
     const PlanningContext& ctx, const CandidateView& view) {
-    util::Timer timer;
-    PlanResult out;
     const model::Instance& inst = ctx.instance();
-
     const auto& cands = view.set->candidates;
-    out.stats.candidates = util::checked_cast<int>(cands.size());
-    if (cands.empty()) {
-        out.stats.runtime_s = timer.seconds();
-        return out;
-    }
 
     const double bw = inst.uav.bandwidth_mbps;
     const double eta_h = inst.uav.hover_power_w;
@@ -211,31 +165,14 @@ PlanResult PartialCollectionPlanner::plan_reference(
     }
     tour.reoptimize();
 
-    for (std::size_t i = 0; i < tour.size(); ++i) {
-        const auto ci = static_cast<std::size_t>(tour.keys()[i]);
-        out.plan.stops.push_back(
-            {tour.stops()[i], dwell_of[ci], cands[ci].cell_id});
-    }
-    out.stats.planned_mb = collected_mb;
-    out.stats.planned_energy_j =
-        hover_energy + inst.uav.travel_energy(tour.length());
-    out.stats.iterations = iterations;
-    out.stats.runtime_s = timer.seconds();
-    return out;
+    return assemble_plan(ctx, view, tour, dwell_of, collected_mb,
+                         hover_energy, iterations);
 }
 
 PlanResult PartialCollectionPlanner::plan_incremental(
     const PlanningContext& ctx, const CandidateView& view) {
-    util::Timer timer;
-    PlanResult out;
     const model::Instance& inst = ctx.instance();
-
     const auto& cands = view.set->candidates;
-    out.stats.candidates = util::checked_cast<int>(cands.size());
-    if (cands.empty()) {
-        out.stats.runtime_s = timer.seconds();
-        return out;
-    }
     const std::size_t n = cands.size();
 
     const double bw = inst.uav.bandwidth_mbps;
@@ -272,15 +209,10 @@ PlanResult PartialCollectionPlanner::plan_incremental(
     const bool fast = cfg_.scoring == ScoringEngine::kIncrementalFast;
     InsertionCache cache(tour, std::span(csoa.pos.xs.data(), n),
                          std::span(csoa.pos.ys.data(), n), mr);
-    // Device -> covering-candidates inversion: reuse the view's prebuilt
-    // index (context- or reduction-memoized; the warm-serve win), building
-    // locally only for bare views.
-    std::optional<InvertedCoverageIndex> local_inverted;
-    if (view.inverted == nullptr) {
-        local_inverted.emplace(*view.set, inst.devices.size());
-    }
-    const InvertedCoverageIndex& inverted =
-        view.inverted != nullptr ? *view.inverted : *local_inverted;
+    // Device -> covering-candidates inversion, prebuilt with the view
+    // (context- or reduction-memoized; the warm-serve win).
+    UAVDC_DCHECK(view.inverted != nullptr);
+    const InvertedCoverageIndex& inverted = *view.inverted;
     LazyGreedyQueue queue(n);
     std::pmr::vector<Score> scores(n, Score{}, mr);  // read back on selection
 
@@ -468,17 +400,8 @@ PlanResult PartialCollectionPlanner::plan_incremental(
     }
     tour.reoptimize();
 
-    for (std::size_t i = 0; i < tour.size(); ++i) {
-        const auto ci = static_cast<std::size_t>(tour.keys()[i]);
-        out.plan.stops.push_back(
-            {tour.stops()[i], dwell_of[ci], cands[ci].cell_id});
-    }
-    out.stats.planned_mb = collected_mb;
-    out.stats.planned_energy_j =
-        hover_energy + inst.uav.travel_energy(tour.length());
-    out.stats.iterations = iterations;
-    out.stats.runtime_s = timer.seconds();
-    return out;
+    return assemble_plan(ctx, view, tour, dwell_of, collected_mb,
+                         hover_energy, iterations);
 }
 
 }  // namespace uavdc::core

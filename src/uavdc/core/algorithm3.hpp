@@ -47,7 +47,12 @@ class PartialCollectionPlanner final : public Planner {
         : cfg_(std::move(cfg)) {}
 
     using Planner::plan;
+    /// Runs `plan_view` through `plan_over_candidates` with `cfg.reduction`.
     [[nodiscard]] PlanResult plan(const PlanningContext& ctx) override;
+    /// One run of the configured scoring engine over a non-empty `view`,
+    /// without reduction, refine or fallback.
+    [[nodiscard]] PlanResult plan_view(const PlanningContext& ctx,
+                                       const CandidateView& view);
     [[nodiscard]] HoverCandidateConfig candidate_config() const override {
         return cfg_.candidates;
     }

@@ -1,7 +1,6 @@
 #include "uavdc/core/candidate_reduction.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
@@ -14,21 +13,6 @@
 namespace uavdc::core {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-        h ^= (v >> (8 * byte)) & 0xffULL;
-        h *= kFnvPrime;
-    }
-}
-
-void fnv_mix(std::uint64_t& h, double v) {
-    if (v == 0.0) v = 0.0;  // normalise -0.0
-    fnv_mix(h, std::bit_cast<std::uint64_t>(v));
-}
 
 /// a ⊆ b over sorted device-index vectors (two-pointer scan).
 bool subset_of(const std::vector<int>& a, const std::vector<int>& b) {
@@ -247,19 +231,6 @@ ReducedCandidates gather(const HoverCandidateSet& full,
 }
 
 }  // namespace
-
-std::uint64_t CandidateReductionConfig::fingerprint() const {
-    std::uint64_t h = kFnvOffset;
-    fnv_mix(h, static_cast<std::uint64_t>(dominance));
-    fnv_mix(h, dominance_radius_m);
-    fnv_mix(h, dominance_dwell_slack);
-    fnv_mix(h, static_cast<std::uint64_t>(
-                   static_cast<std::int64_t>(coarsen_factor)));
-    fnv_mix(h, refine_band_m);
-    fnv_mix(h, static_cast<std::uint64_t>(
-                   static_cast<std::int64_t>(consolidate_to)));
-    return h;
-}
 
 ReducedCandidates reduce_candidates(const HoverCandidateSet& full,
                                     std::size_t num_devices,

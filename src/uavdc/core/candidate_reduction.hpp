@@ -45,6 +45,7 @@ struct CandidateReductionConfig {
     /// set plus every original candidate within this distance of the
     /// incumbent tour polyline, keeping the better plan. Recovers the
     /// local detail coarsening discarded, but only where the tour goes.
+    /// Read by `plan_over_candidates`, never by `reduce_candidates`.
     double refine_band_m = 0.0;
     /// Stage 3 — k-means consolidation: > 0 clusters the surviving
     /// candidates (award-weighted) into at most this many groups and keeps
@@ -54,9 +55,7 @@ struct CandidateReductionConfig {
     [[nodiscard]] bool enabled() const {
         return dominance || coarsen_factor > 1 || consolidate_to > 0;
     }
-    /// FNV-1a over every field (for the PlanningContext memo and the
-    /// service response-cache key).
-    [[nodiscard]] std::uint64_t fingerprint() const;
+    bool operator==(const CandidateReductionConfig&) const = default;
 };
 
 /// Per-stage drop counts of one reduction run.
@@ -69,17 +68,18 @@ struct CandidateReductionStats {
     int kept{0};          ///< candidates leaving the pipeline
 };
 
-/// A planner-facing view of a candidate set: the set, its SoA mirror, and
-/// (for reduced sets) the mapping back to the generator's candidate
-/// indices. `original_index` empty means the identity view over the full
-/// set — exactly what planners consumed before reduction existed.
+/// A planner-facing view of a candidate set: the set, its SoA mirror, its
+/// coverage index and (for reduced sets) the mapping back to the
+/// generator's candidate indices. `original_index` empty means the identity
+/// view over the full set (`PlanningContext::full_view()`). Views are made
+/// only by `full_view()` and `ReducedCandidates::view()`, so every field is
+/// set.
 struct CandidateView {
     const HoverCandidateSet* set{nullptr};
     const CandidateSoa* soa{nullptr};
     std::span<const std::int32_t> original_index{};
-    /// Optional device -> covering-candidates index over `set` (view-local
-    /// candidate ids). Null when the owner has not built one; planners then
-    /// fall back to constructing a per-plan index.
+    /// Device -> covering-candidates index over `set` (view-local
+    /// candidate ids).
     const InvertedCoverageIndex* inverted{nullptr};
 
     [[nodiscard]] std::size_t size() const { return set->size(); }
@@ -93,16 +93,16 @@ struct CandidateView {
 };
 
 /// A reduced candidate set: survivors in original relative order, with a
-/// fresh SoA mirror and the map back to full-set indices.
+/// fresh SoA mirror, its coverage index and the map back to full-set
+/// indices. `reduce_candidates` makes the ones `PlanningContext` memoizes;
+/// `refine_near_tour` makes the per-plan refine sets.
 struct ReducedCandidates {
     HoverCandidateSet set;
     CandidateSoa soa;
     std::vector<std::int32_t> original_index;  ///< reduced idx -> full idx
     CandidateReductionStats stats;
-    /// Device -> covering-candidates index over `set`, built alongside the
-    /// SoA mirror so memoized reductions (PlanningContext, warm service
-    /// traffic) hand planners a ready inversion. shared_ptr keeps the struct
-    /// copyable.
+    /// Device -> covering-candidates index over `set` (reduced ids), built
+    /// with the SoA mirror. shared_ptr keeps the struct copyable.
     std::shared_ptr<const InvertedCoverageIndex> inverted;
 
     [[nodiscard]] CandidateView view() const {

@@ -4,9 +4,13 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <exception>
+#include <stdexcept>
 
 #include "uavdc/core/batch_kernels.hpp"
+#include "uavdc/core/tour_builder.hpp"
 #include "uavdc/graph/dense_graph.hpp"
+#include "uavdc/util/check.hpp"
 #include "uavdc/util/parallel_for.hpp"
 #include "uavdc/util/timer.hpp"
 
@@ -98,47 +102,59 @@ std::uint64_t PlanningContext::config_fingerprint(
 const HoverCandidateSet& PlanningContext::candidates() const {
     std::call_once(cand_once_, [this] {
         util::Timer timer;
-        cands_ = build_hover_candidates(inst_, cfg_, &device_soa_);
+        try {
+            cands_ = build_hover_candidates(inst_, cfg_, &device_soa_);
+        } catch (const std::invalid_argument&) {
+            // A refused instance (a grid too large for int cell ids) stays
+            // refused. Rethrow outside call_once: an exception escaping it
+            // hangs under ThreadSanitizer's pthread_once.
+            cand_error_ = std::current_exception();
+            return;
+        }
         g_candidate_build_ns.fetch_add(
             static_cast<std::uint64_t>(timer.seconds() * 1e9),
             std::memory_order_relaxed);
         g_candidate_builds.fetch_add(1, std::memory_order_relaxed);
         cands_built_ = true;
     });
+    if (cand_error_) std::rethrow_exception(cand_error_);
     return cands_;
 }
 
 bool PlanningContext::candidates_built() const { return cands_built_; }
 
 const CandidateSoa& PlanningContext::candidate_soa() const {
-    std::call_once(soa_once_, [this] {
-        cand_soa_ = build_candidate_soa(candidates(), inst_.devices.size());
+    const HoverCandidateSet& cands = candidates();  // may throw: not in once
+    std::call_once(soa_once_, [&] {
+        cand_soa_ = build_candidate_soa(cands, inst_.devices.size());
     });
     return cand_soa_;
 }
 
 const InvertedCoverageIndex& PlanningContext::inverted_coverage() const {
-    std::call_once(inv_once_, [this] {
+    const HoverCandidateSet& cands = candidates();  // may throw: not in once
+    std::call_once(inv_once_, [&] {
         inverted_ = std::make_unique<InvertedCoverageIndex>(
-            candidates(), inst_.devices.size());
+            cands, inst_.devices.size());
     });
     return *inverted_;
 }
 
 const ReducedCandidates& PlanningContext::reduced_candidates(
     const CandidateReductionConfig& cfg) const {
-    const std::uint64_t fp = cfg.fingerprint();
+    CandidateReductionConfig stages = cfg;
+    stages.refine_band_m = 0.0;  // read by plan_over_candidates only
     // Ensure the candidate build (its own call_once) happens outside the
     // reduction lock, so a concurrent candidates() caller never waits on a
     // reduction in progress.
     const HoverCandidateSet& full = candidates();
     std::lock_guard<std::mutex> lock(reduction_mutex_);
     for (const auto& [key, red] : reductions_) {
-        if (key == fp) return *red;
+        if (key == stages) return *red;
     }
     reductions_.emplace_back(
-        fp, std::make_unique<ReducedCandidates>(
-                reduce_candidates(full, inst_.devices.size(), cfg)));
+        stages, std::make_unique<ReducedCandidates>(
+                    reduce_candidates(full, inst_.devices.size(), stages)));
     return *reductions_.back().second;
 }
 
@@ -259,6 +275,83 @@ std::shared_ptr<const PlanningContext> PlanningContext::build(
 std::shared_ptr<const PlanningContext> PlanningContext::obtain(
     const model::Instance& inst, const HoverCandidateConfig& cfg) {
     return PlanningContextCache::global().obtain(inst, cfg);
+}
+
+namespace {
+
+PlanResult run_view(const ViewPlanner& run, const CandidateView& view) {
+    PlanResult res;
+    if (view.size() > 0) res = run(view);
+    res.stats.candidates = util::checked_cast<int>(view.size());
+    return res;
+}
+
+/// Counts `alt`'s iterations and keeps it when it collects more volume.
+void keep_fuller(PlanResult& out, PlanResult alt, int& iterations) {
+    iterations += alt.stats.iterations;
+    if (alt.stats.planned_mb > out.stats.planned_mb) out = std::move(alt);
+}
+
+}  // namespace
+
+PlanResult plan_over_candidates(const PlanningContext& ctx,
+                                const CandidateReductionConfig& reduction,
+                                const ViewPlanner& run) {
+    if (!reduction.enabled()) {
+        // The full set's mirrors are context precompute: off the clock.
+        const CandidateView full = ctx.full_view();
+        util::Timer timer;
+        PlanResult out = run_view(run, full);
+        out.stats.runtime_s = timer.seconds();
+        return out;
+    }
+    util::Timer timer;
+    const ReducedCandidates& reduced = ctx.reduced_candidates(reduction);
+    PlanResult out = run_view(run, reduced.view());
+    int iterations = out.stats.iterations;
+    if (reduction.refine_band_m > 0.0 && !out.plan.stops.empty()) {
+        // Refine-and-replan: reinstate the originals near the incumbent tour
+        // and keep the better of the two plans (by collected volume).
+        std::vector<geom::Vec2> stops;
+        stops.reserve(out.plan.stops.size());
+        for (const auto& s : out.plan.stops) stops.push_back(s.pos);
+        const ReducedCandidates refined = refine_near_tour(
+            ctx.candidates(), reduced, stops, ctx.instance().depot,
+            reduction.refine_band_m, ctx.instance().devices.size());
+        if (refined.set.candidates.size() > reduced.set.candidates.size()) {
+            keep_fuller(out, run_view(run, refined.view()), iterations);
+        }
+    }
+    if (out.plan.stops.empty()) {
+        // Reduction must never turn a collectable mission into an empty
+        // plan (a cramped budget can leave only pruned candidates in
+        // reach, and the refine band has no incumbent tour to grow from).
+        // Fall back to the full set — the pathological case pays the full
+        // planning cost, every other case keeps the reduction win.
+        keep_fuller(out, run_view(run, ctx.full_view()), iterations);
+    }
+    out.stats.iterations = iterations;
+    out.stats.runtime_s = timer.seconds();
+    return out;
+}
+
+PlanResult assemble_plan(const PlanningContext& ctx,
+                         const CandidateView& view, const TourBuilder& tour,
+                         std::span<const double> dwell_of,
+                         double collected_mb, double hover_energy_j,
+                         int iterations) {
+    PlanResult out;
+    const auto& cands = view.set->candidates;
+    for (std::size_t i = 0; i < tour.size(); ++i) {
+        const auto ci = static_cast<std::size_t>(tour.keys()[i]);
+        out.plan.stops.push_back(
+            {tour.stops()[i], dwell_of[ci], cands[ci].cell_id});
+    }
+    out.stats.planned_mb = collected_mb;
+    out.stats.planned_energy_j =
+        hover_energy_j + ctx.instance().uav.travel_energy(tour.length());
+    out.stats.iterations = iterations;
+    return out;
 }
 
 PlanningContextCache::PlanningContextCache(std::size_t capacity)

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <memory_resource>
 #include <mutex>
@@ -12,6 +14,7 @@
 #include "uavdc/core/incremental_scorer.hpp"
 #include "uavdc/model/energy_view.hpp"
 #include "uavdc/core/hover_candidates.hpp"
+#include "uavdc/core/planner.hpp"
 #include "uavdc/core/scratch_arena.hpp"
 #include "uavdc/core/soa_layout.hpp"
 #include "uavdc/geom/spatial_hash.hpp"
@@ -24,6 +27,7 @@ class DenseGraph;
 namespace uavdc::core {
 
 class PlanningContext;
+class TourBuilder;
 
 /// RAII loan of a ScratchArena from a PlanningContext's pool. On
 /// destruction the arena is reset (rewound, capacity kept) and returned, so
@@ -91,6 +95,8 @@ class PlanningContext {
     [[nodiscard]] const model::EnergyView& energy() const { return energy_; }
 
     /// The Sec. III-B candidate set; built on first call (thread-safe).
+    /// Throws std::invalid_argument, on every call, when the instance's
+    /// delta-grid has more cells than int cell ids address.
     [[nodiscard]] const HoverCandidateSet& candidates() const;
     /// True once `candidates()` has run (for laziness/caching tests).
     [[nodiscard]] bool candidates_built() const;
@@ -116,11 +122,19 @@ class PlanningContext {
     /// inversion per plan() call.
     [[nodiscard]] const InvertedCoverageIndex& inverted_coverage() const;
 
-    /// Reduced candidate set for `cfg`, memoized per config fingerprint
-    /// next to the SoA mirrors (thread-safe; stable address for the
-    /// context's lifetime). Planners sharing a context therefore pay each
-    /// reduction once per distinct config, exactly like the candidate
-    /// build itself.
+    /// The identity view over `candidates()`, with `candidate_soa()` and
+    /// `inverted_coverage()` (each built on first call).
+    [[nodiscard]] CandidateView full_view() const {
+        return {&candidates(), &candidate_soa(), {}, &inverted_coverage()};
+    }
+
+    /// Reduced candidate set for `cfg`, memoized next to the SoA mirrors
+    /// (thread-safe; stable address for the context's lifetime). The memo
+    /// keys on the stage fields `reduce_candidates` reads, compared by
+    /// value; `refine_band_m` is not one of them, so configs that differ
+    /// only in band share one entry. Planners sharing a context therefore
+    /// pay each reduction once per distinct stage config, exactly like the
+    /// candidate build itself.
     [[nodiscard]] const ReducedCandidates& reduced_candidates(
         const CandidateReductionConfig& cfg) const;
 
@@ -187,6 +201,7 @@ class PlanningContext {
 
     mutable std::once_flag cand_once_;
     mutable HoverCandidateSet cands_;
+    mutable std::exception_ptr cand_error_;  // set when the build refused
     mutable std::atomic<bool> cands_built_{false};
 
     mutable std::once_flag soa_once_;
@@ -195,11 +210,11 @@ class PlanningContext {
     mutable std::once_flag inv_once_;
     mutable std::unique_ptr<InvertedCoverageIndex> inverted_;
 
-    // Reduced-set memo: (reduction-config fingerprint -> reduction), built
+    // Reduced-set memo: (stage config, band zeroed -> reduction), built
     // under the mutex, unique_ptr for address stability across growth.
     mutable std::mutex reduction_mutex_;
-    mutable std::vector<
-        std::pair<std::uint64_t, std::unique_ptr<ReducedCandidates>>>
+    mutable std::vector<std::pair<CandidateReductionConfig,
+                                  std::unique_ptr<ReducedCandidates>>>
         reductions_;
 
     friend class ArenaLease;
@@ -216,6 +231,33 @@ class PlanningContext {
     mutable std::vector<double> tri_;
     mutable bool dist_matrix_{false};
 };
+
+/// One greedy engine run over one non-empty candidate view.
+using ViewPlanner = std::function<PlanResult(const CandidateView&)>;
+
+/// Plans `ctx`'s instance with `run` over the candidates `reduction`
+/// selects (DESIGN.md "Candidate-space reduction"). With reduction off,
+/// `run` sees the full set. Otherwise it sees the memoized reduced set;
+/// with `refine_band_m > 0` it then sees the reduced set plus the
+/// originals within the band of that tour, and the plan with more volume
+/// is kept; a plan still empty is replanned over the full set. An empty
+/// view yields an empty plan without calling `run`. `iterations` sums
+/// over the runs, `candidates` is the kept run's view size, and
+/// `runtime_s` covers the reduction and every run.
+[[nodiscard]] PlanResult plan_over_candidates(
+    const PlanningContext& ctx, const CandidateReductionConfig& reduction,
+    const ViewPlanner& run);
+
+/// The plan a greedy engine leaves: `tour`'s stops in visiting order (its
+/// keys are indices into `view`) with their dwell and grid cell, and the
+/// volume, energy and iteration totals. `plan_over_candidates` sets
+/// `candidates` and `runtime_s`.
+[[nodiscard]] PlanResult assemble_plan(const PlanningContext& ctx,
+                                       const CandidateView& view,
+                                       const TourBuilder& tour,
+                                       std::span<const double> dwell_of,
+                                       double collected_mb,
+                                       double hover_energy_j, int iterations);
 
 /// Bounded LRU memo of `PlanningContext`s keyed on (instance fingerprint,
 /// candidate-config fingerprint). `compare_planners`, `analyze_sensitivity`,

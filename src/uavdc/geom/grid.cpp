@@ -1,6 +1,9 @@
 #include "uavdc/geom/grid.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "uavdc/util/check.hpp"
@@ -9,10 +12,9 @@ namespace uavdc::geom {
 
 namespace {
 
-int cells_along(double extent, double delta) {
+double cells_along(double extent, double delta) {
     // At least one cell; round up so the grid covers the whole region.
-    const double n = std::ceil(extent / delta);
-    return std::max(1, static_cast<int>(n));
+    return std::max(1.0, std::ceil(extent / delta));
 }
 
 }  // namespace
@@ -25,8 +27,21 @@ Grid::Grid(Aabb region, double delta)
     if (!(delta > 0.0)) {
         throw std::invalid_argument("Grid: delta must be positive");
     }
-    nx_ = cells_along(region_.width(), delta_);
-    ny_ = cells_along(region_.height(), delta_);
+    // Cell ids are int: count in double so a vast region is refused with
+    // its figure instead of wrapping nx * ny.
+    const double nx = cells_along(region_.width(), delta_);
+    const double ny = cells_along(region_.height(), delta_);
+    constexpr int kMaxCells = std::numeric_limits<int>::max();
+    if (!(nx * ny <= kMaxCells)) {
+        std::ostringstream msg;
+        msg.precision(15);
+        msg << "Grid: " << nx << " x " << ny << " = " << nx * ny
+            << " cells of " << delta_ << " m exceed the " << kMaxCells
+            << " cell-id limit";
+        throw std::invalid_argument(msg.str());
+    }
+    nx_ = static_cast<int>(nx);
+    ny_ = static_cast<int>(ny);
 }
 
 Vec2 Grid::center(int id) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "uavdc/core/planning_context.hpp"
@@ -590,6 +591,13 @@ PlanResponse PlanService::execute_resolved(const PlanRequest& req,
         }
         resp.result_wire =
             cache_.put(inst_fp, opts_fp, canon, check, std::move(result));
+    } catch (const std::invalid_argument& ex) {
+        // The instance is one the planner cannot take (a grid too large
+        // for int cell ids): the request's fault, not the service's.
+        resp.status = ResponseStatus::kBadRequest;
+        resp.error = std::string("planner '") + req.planner +
+                     "' rejected the instance: " + ex.what();
+        resp.result = io::Json();
     } catch (const std::exception& ex) {
         resp.status = ResponseStatus::kInternalError;
         resp.error = std::string("planner '") + req.planner +

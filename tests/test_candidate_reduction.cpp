@@ -13,6 +13,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "test_util.hpp"
@@ -27,6 +28,7 @@
 #include "uavdc/util/check.hpp"
 #include "uavdc/util/rng.hpp"
 #include "uavdc/workload/generator.hpp"
+#include "uavdc/workload/presets.hpp"
 
 namespace uavdc {
 namespace {
@@ -166,7 +168,6 @@ TEST(CandidateReduction, ContextMemoizesPerFingerprint) {
     EXPECT_NE(ra, rb);
     EXPECT_EQ(ra, &ctx->reduced_candidates(a));
     EXPECT_EQ(rb, &ctx->reduced_candidates(b));
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
 // --- Determinism: reduced planning is bit-identical serial vs pooled.
@@ -215,6 +216,266 @@ TEST(CandidateReduction, ReducedPlansBitIdenticalAcrossThreadCounts) {
         const std::string tag = "trial " + std::to_string(trial);
         expect_identical(alg2[0], alg2[1], tag + " alg2 par vs serial");
         expect_identical(alg3[0], alg3[1], tag + " alg3 par vs serial");
+        if (::testing::Test::HasFailure()) break;
+    }
+}
+
+// --- Context memo: keyed on the stage fields by value, never on the band.
+
+TEST(PlanningContext, ReductionMemoKeysOnStageFieldsOnly) {
+    const auto inst = testing::small_instance(30);
+    const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
+    CandidateReductionConfig base;
+    base.dominance = true;
+    base.coarsen_factor = 3;
+    const ReducedCandidates* shared = &ctx->reduced_candidates(base);
+    for (const double band : {10.0, 25.5, 80.0}) {
+        CandidateReductionConfig c = base;
+        c.refine_band_m = band;
+        EXPECT_EQ(&ctx->reduced_candidates(c), shared) << band;
+    }
+    std::vector<CandidateReductionConfig> stages(5, base);
+    stages[0].dominance = false;
+    stages[1].dominance_radius_m = 30.0;
+    stages[2].dominance_dwell_slack = 0.05;
+    stages[3].coarsen_factor = 4;
+    stages[4].consolidate_to = 12;
+    std::set<const ReducedCandidates*> seen{shared};
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+        EXPECT_TRUE(seen.insert(&ctx->reduced_candidates(stages[i])).second)
+            << "stage variant " << i;
+    }
+}
+
+TEST(PlanningContext, ReductionMemoIsSharedAcrossThreads) {
+    const auto inst = testing::small_instance(40);
+    const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
+    std::vector<CandidateReductionConfig> cfgs(4);
+    cfgs[0].coarsen_factor = 2;
+    cfgs[1] = cfgs[0];
+    cfgs[1].refine_band_m = 30.0;
+    cfgs[2].dominance = true;
+    cfgs[2].coarsen_factor = 3;
+    cfgs[3] = cfgs[2];
+    cfgs[3].refine_band_m = 55.0;
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::vector<const ReducedCandidates*>> seen(
+        kThreads, std::vector<const ReducedCandidates*>(cfgs.size()));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 25; ++round) {
+                for (std::size_t i = 0; i < cfgs.size(); ++i) {
+                    const std::size_t c = (i + t) % cfgs.size();
+                    const ReducedCandidates* r =
+                        &ctx->reduced_candidates(cfgs[c]);
+                    if (round == 0) seen[t][c] = r;
+                    EXPECT_EQ(r, seen[t][c]);
+                }
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+    }
+    EXPECT_EQ(seen[0][0], seen[0][1]);
+    EXPECT_EQ(seen[0][2], seen[0][3]);
+    EXPECT_NE(seen[0][0], seen[0][2]);
+    const ReducedCandidates want = core::reduce_candidates(
+        ctx->candidates(), inst.devices.size(), cfgs[2]);
+    EXPECT_EQ(seen[0][2]->original_index, want.original_index);
+}
+
+// --- plan_over_candidates runs reduce -> refine -> fallback for both planners.
+
+/// Calls `check(planner, tag)` on alg2 and alg3, each with both
+/// bit-identical engines.
+template <class Check>
+void for_each_planner(const HoverCandidateConfig& hover,
+                      const CandidateReductionConfig& red, Check check) {
+    for (const auto engine :
+         {core::ScoringEngine::kIncremental, core::ScoringEngine::kReference}) {
+        const std::string tag =
+            engine == core::ScoringEngine::kReference ? " reference"
+                                                      : " incremental";
+        Algorithm2Config a2;
+        a2.candidates = hover;
+        a2.reduction = red;
+        a2.scoring = engine;
+        GreedyCoveragePlanner alg2(a2);
+        check(alg2, "alg2" + tag);
+        Algorithm3Config a3;
+        a3.candidates = hover;
+        a3.reduction = red;
+        a3.scoring = engine;
+        PartialCollectionPlanner alg3(a3);
+        check(alg3, "alg3" + tag);
+    }
+}
+
+TEST(PlanDriver, ReductionOffPlansTheFullView) {
+    const auto inst = testing::small_instance(30);
+    const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
+    for_each_planner(hover_cfg(inst), {}, [&](auto& planner,
+                                              const std::string& tag) {
+        const PlanResult got = planner.plan(*ctx);
+        expect_identical(got, planner.plan_view(*ctx, ctx->full_view()), tag);
+        EXPECT_FALSE(got.plan.stops.empty()) << tag;
+        EXPECT_EQ(got.stats.candidates,
+                  static_cast<int>(ctx->candidates().size()));
+    });
+}
+
+TEST(PlanDriver, RefineBandKeepsTheFullerPlanAndSumsIterations) {
+    util::Rng rng(2718);
+    int refined_runs = 0;
+    for (int trial = 0; trial < 6; ++trial) {
+        const auto inst = fuzz_instance(rng, 20, 60);
+        const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
+        CandidateReductionConfig red;
+        red.coarsen_factor = 3;
+        red.refine_band_m = 3.0 * hover_cfg(inst).delta_m;
+        const ReducedCandidates& reduced = ctx->reduced_candidates(red);
+        for_each_planner(hover_cfg(inst), red, [&](auto& planner,
+                                                   const std::string& tag) {
+            const PlanResult first = planner.plan_view(*ctx, reduced.view());
+            if (first.plan.stops.empty()) return;  // the fallback's case
+            std::vector<geom::Vec2> stops;
+            for (const auto& st : first.plan.stops) stops.push_back(st.pos);
+            const ReducedCandidates refined = core::refine_near_tour(
+                ctx->candidates(), reduced, stops, inst.depot,
+                red.refine_band_m, inst.devices.size());
+            if (refined.set.size() <= reduced.set.size()) return;
+            const PlanResult second =
+                planner.plan_view(*ctx, refined.view());
+            PlanResult want =
+                second.stats.planned_mb > first.stats.planned_mb ? second
+                                                                 : first;
+            want.stats.iterations =
+                first.stats.iterations + second.stats.iterations;
+            expect_identical(planner.plan(*ctx), want,
+                             "trial " + std::to_string(trial) + " " + tag);
+            ++refined_runs;
+        });
+        if (::testing::Test::HasFailure()) break;
+    }
+    EXPECT_GT(refined_runs, 0);
+}
+
+TEST(PlanDriver, KeepsTheRunWithMoreVolume) {
+    const auto inst = testing::small_instance(30);
+    const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
+    CandidateReductionConfig red;
+    red.coarsen_factor = 3;
+    red.refine_band_m = 40.0;
+    const geom::Vec2 stop = ctx->candidates().candidates.back().pos;
+    for (const double second_mb : {5.0, 20.0}) {
+        std::vector<std::size_t> sizes;
+        const PlanResult out = core::plan_over_candidates(
+            *ctx, red, [&](const core::CandidateView& view) {
+                sizes.push_back(view.size());
+                PlanResult r;
+                const int run = static_cast<int>(sizes.size());
+                r.plan.stops.push_back({stop, 1.0, run});
+                r.stats.planned_mb = run == 1 ? 10.0 : second_mb;
+                r.stats.iterations = run == 1 ? 3 : 4;
+                return r;
+            });
+        ASSERT_EQ(sizes.size(), 2u);
+        EXPECT_EQ(sizes[0], ctx->reduced_candidates(red).set.size());
+        EXPECT_GT(sizes[1], sizes[0]);
+        const bool second_wins = second_mb > 10.0;
+        EXPECT_EQ(out.stats.planned_mb, second_wins ? second_mb : 10.0);
+        EXPECT_EQ(out.plan.stops.at(0).cell_id, second_wins ? 2 : 1);
+        EXPECT_EQ(out.stats.candidates,
+                  static_cast<int>(sizes[second_wins ? 1 : 0]));
+        EXPECT_EQ(out.stats.iterations, 7);
+    }
+}
+
+TEST(PlanDriver, EmptyReducedPlanFallsBackToTheFullSet) {
+    const auto inst = testing::small_instance(30);
+    const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
+    CandidateReductionConfig red;
+    red.coarsen_factor = 3;
+    red.refine_band_m = 40.0;  // no incumbent tour, so no refine run
+    std::vector<std::size_t> sizes;
+    const PlanResult out = core::plan_over_candidates(
+        *ctx, red, [&](const core::CandidateView& view) {
+            sizes.push_back(view.size());
+            PlanResult r;
+            r.stats.iterations = 2;
+            if (view.original_index.empty()) {  // the full set
+                r.plan.stops.push_back({view.set->candidates[0].pos, 1.0, 0});
+                r.stats.planned_mb = 1.0;
+            }
+            return r;
+        });
+    ASSERT_EQ(sizes.size(), 2u);
+    EXPECT_EQ(sizes[0], ctx->reduced_candidates(red).set.size());
+    EXPECT_EQ(sizes[1], ctx->candidates().size());
+    EXPECT_EQ(out.plan.stops.size(), 1u);
+    EXPECT_EQ(out.stats.iterations, 4);
+    EXPECT_EQ(out.stats.candidates, static_cast<int>(sizes[1]));
+}
+
+/// One device near the depot and a rich cluster far beyond the budget.
+/// Consolidating to one candidate keeps a cluster member, and the coverage
+/// pass reinstates the near device's lowest-index coverer, which lies
+/// beyond the budget; the full set has coverers that do not.
+model::Instance stranded_instance() {
+    std::vector<std::pair<geom::Vec2, double>> devices{{{45.0, 52.0}, 100.0}};
+    for (int i = 0; i < 20; ++i) {
+        devices.push_back({{1460.0 + 20.0 * (i % 5), 1470.0 + 20.0 * (i / 5)},
+                           500.0});
+    }
+    model::UavConfig uav = workload::paper_uav();
+    uav.energy_j = 6000.0;
+    return testing::manual_instance(devices, 2000.0, uav);
+}
+
+TEST(PlanDriver, PlannersFallBackToTheFullSetWhenTheReducedPlanIsEmpty) {
+    const auto inst = stranded_instance();
+    HoverCandidateConfig hover;
+    hover.delta_m = 10.0;
+    hover.dedupe_identical_coverage = false;
+    const auto ctx = PlanningContext::build(inst, hover);
+    CandidateReductionConfig red;
+    red.consolidate_to = 1;
+    const ReducedCandidates& reduced = ctx->reduced_candidates(red);
+    for_each_planner(hover, red, [&](auto& planner, const std::string& tag) {
+        const PlanResult stranded = planner.plan_view(*ctx, reduced.view());
+        ASSERT_TRUE(stranded.plan.stops.empty()) << tag;
+        PlanResult want = planner.plan_view(*ctx, ctx->full_view());
+        ASSERT_FALSE(want.plan.stops.empty()) << tag;
+        want.stats.iterations += stranded.stats.iterations;
+        const PlanResult got = planner.plan(*ctx);
+        expect_identical(got, want, tag);
+        EXPECT_EQ(got.stats.candidates,
+                  static_cast<int>(ctx->candidates().size()));
+    });
+}
+
+TEST(PlanDriver, ReducedBandPlansBitIdenticalAcrossEngines) {
+    util::Rng rng(1618);
+    for (int trial = 0; trial < 24; ++trial) {
+        const auto inst = fuzz_instance(rng, 10, 60);
+        const HoverCandidateConfig hover = hover_cfg(inst);
+        const auto ctx = PlanningContext::build(inst, hover);
+        CandidateReductionConfig red;
+        red.dominance = trial % 2 == 0;
+        red.coarsen_factor = 3 + trial % 3;
+        red.consolidate_to = trial % 4 == 3 ? 8 : 0;
+        red.refine_band_m = (2.0 + trial % 3) * hover.delta_m;
+        std::vector<PlanResult> plans;
+        for_each_planner(hover, red, [&](auto& planner, const std::string&) {
+            plans.push_back(planner.plan(*ctx));
+        });
+        // Order: alg2 incremental, alg3 incremental, alg2 ref, alg3 ref.
+        const std::string tag = "trial " + std::to_string(trial);
+        expect_identical(plans[0], plans[2], tag + " alg2");
+        expect_identical(plans[1], plans[3], tag + " alg3");
         if (::testing::Test::HasFailure()) break;
     }
 }

@@ -12,7 +12,11 @@ namespace {
 
 class CsvImportTest : public ::testing::Test {
   protected:
-    std::string path_ = ::testing::TempDir() + "/uavdc_devices.csv";
+    // One file per test: ctest runs the tests of this fixture in parallel.
+    std::string path_ =
+        ::testing::TempDir() + "/uavdc_devices_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv";
     void write(const std::string& content) {
         std::ofstream out(path_);
         out << content;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace uavdc::geom {
 namespace {
@@ -92,6 +93,22 @@ TEST(Grid, AllCentersCount) {
     ASSERT_EQ(centers.size(), static_cast<std::size_t>(g.num_cells()));
     EXPECT_EQ(centers[0], g.center(0));
     EXPECT_EQ(centers.back(), g.center(g.num_cells() - 1));
+}
+
+TEST(Grid, RejectsMoreCellsThanIntIdsAddress) {
+    // 46340^2 fits in int; 46341^2 does not.
+    const Grid fits(Aabb::of_size(46340.0, 46340.0), 1.0);
+    EXPECT_EQ(fits.num_cells(), 46340 * 46340);
+    EXPECT_THROW(Grid(Aabb::of_size(46341.0, 46341.0), 1.0),
+                 std::invalid_argument);
+    try {
+        const Grid vast(Aabb::of_size(1.0e7, 1.0e7), 10.0);
+        ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& ex) {
+        EXPECT_NE(std::string(ex.what()).find("1000000000000 cells"),
+                  std::string::npos)
+            << ex.what();
+    }
 }
 
 TEST(Grid, OffsetRegion) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "test_util.hpp"
 #include "uavdc/core/compare.hpp"
 #include "uavdc/core/hover_candidates.hpp"
@@ -45,6 +47,17 @@ TEST(PlanningContext, LazyCandidateBuild) {
     // Identical to calling the free builder directly.
     EXPECT_TRUE(candidate_sets_equal(
         cands, build_hover_candidates(inst, ctx.candidate_config())));
+}
+
+TEST(PlanningContext, RefusedCandidateBuildThrowsOnEveryCall) {
+    const auto vast =
+        uavdc::testing::manual_instance({{{5.0e6, 5.0e6}, 100.0}}, 1.0e7);
+    const auto ctx = PlanningContext::build(vast);
+    EXPECT_THROW((void)ctx->candidates(), std::invalid_argument);
+    EXPECT_THROW((void)ctx->candidates(), std::invalid_argument);
+    EXPECT_THROW((void)ctx->full_view(), std::invalid_argument);
+    EXPECT_THROW((void)ctx->inverted_coverage(), std::invalid_argument);
+    EXPECT_FALSE(ctx->candidates_built());
 }
 
 TEST(PlanningContext, CandidateBuildIsDeterministic) {

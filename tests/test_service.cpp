@@ -502,6 +502,47 @@ TEST(Service, BadRequestsAndShutdownAreStructured) {
                   stats.deadline_exceeded + stats.internal_errors);
 }
 
+TEST(Service, RegionTooLargeForCellIdsIsABadRequest) {
+    // One device in a 1e7 x 1e7 m field: the delta grid would need more
+    // cells than int ids address. The grid planners refuse the instance,
+    // naming the figure; the service answers bad_request and stays up.
+    const auto vast =
+        uavdc::testing::manual_instance({{{5.0e6, 5.0e6}, 100.0}}, 1.0e7);
+    PlanService::Config cfg;
+    cfg.workers = 1;
+    PlanService svc(cfg);
+    std::mutex mu;
+    std::map<std::string, PlanResponse> got;
+    auto submit = [&](PlanRequest req) {
+        svc.submit(std::move(req), [&](PlanResponse resp) {
+            std::lock_guard lock(mu);
+            got[resp.id] = std::move(resp);
+        });
+    };
+    for (const std::string planner : {"alg1", "alg2", "alg3"}) {
+        submit(make_request(planner, planner, vast));
+    }
+    submit(make_request("benchmark", "benchmark", vast));
+    submit(make_request("paper", "alg2", uavdc::testing::small_instance()));
+    svc.drain();
+
+    for (const std::string planner : {"alg1", "alg2", "alg3"}) {
+        const PlanResponse& resp = got.at(planner);
+        EXPECT_EQ(resp.status, ResponseStatus::kBadRequest) << planner;
+        EXPECT_NE(resp.error.find("cells"), std::string::npos) << resp.error;
+        EXPECT_NE(resp.error.find("cell-id limit"), std::string::npos)
+            << resp.error;
+    }
+    EXPECT_EQ(got.at("benchmark").status, ResponseStatus::kOk)
+        << got.at("benchmark").error;
+    EXPECT_EQ(got.at("paper").status, ResponseStatus::kOk)
+        << got.at("paper").error;
+    const ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.internal_errors, 0u);
+    EXPECT_EQ(stats.rejected_bad_request, 3u);
+    EXPECT_EQ(stats.ok, 2u);
+}
+
 TEST(Service, ThrowingCallbackDoesNotWedgeDrain) {
     const auto inst = uavdc::testing::small_instance(10, 160.0, 86);
     PlanService::Config cfg;
