@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
     // How much concurrency is available? Count devices per best candidate.
     const auto& cands = ctx->candidates();
     std::size_t best_cluster = 0;
-    for (const auto& c : cands.candidates) {
-        best_cluster = std::max(best_cluster, c.covered.size());
+    for (std::size_t j = 0; j < cands.size(); ++j) {
+        best_cluster = std::max(best_cluster, cands.covered(j).size());
     }
     std::cout << "Best single hovering location covers " << best_cluster
               << " devices at once (OFDMA concurrent upload).\n\n";

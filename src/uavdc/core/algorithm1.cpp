@@ -10,29 +10,30 @@
 namespace uavdc::core {
 
 HoverCandidateSet GridOrienteeringPlanner::select_disjoint(
-    HoverCandidateSet cands, std::size_t num_devices) {
+    const HoverCandidateSet& cands, std::size_t num_devices) {
     std::vector<std::size_t> order(cands.candidates.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
         return cands.candidates[a].award_mb > cands.candidates[b].award_mb;
     });
     std::vector<bool> taken(num_devices, false);
-    std::vector<HoverCandidate> kept;
+    std::vector<std::size_t> kept;
     for (std::size_t i : order) {
-        const auto& c = cands.candidates[i];
+        const auto cov = cands.covered(i);
         bool clash = false;
-        for (int v : c.covered) {
+        for (const std::int32_t v : cov) {
             if (taken[static_cast<std::size_t>(v)]) {
                 clash = true;
                 break;
             }
         }
         if (clash) continue;
-        for (int v : c.covered) taken[static_cast<std::size_t>(v)] = true;
-        kept.push_back(c);
+        for (const std::int32_t v : cov) {
+            taken[static_cast<std::size_t>(v)] = true;
+        }
+        kept.push_back(i);
     }
-    cands.candidates = std::move(kept);
-    return cands;
+    return cands.subset(kept);
 }
 
 orienteering::Problem GridOrienteeringPlanner::build_auxiliary_problem(

@@ -52,7 +52,7 @@ class GridOrienteeringPlanner final : public Planner {
     /// coverage (greedy by descending award) — the "without hovering
     /// coverage overlapping" precondition of Sec. IV.
     [[nodiscard]] static HoverCandidateSet select_disjoint(
-        HoverCandidateSet cands, std::size_t num_devices);
+        const HoverCandidateSet& cands, std::size_t num_devices);
 
   private:
     Algorithm1Config cfg_;

@@ -46,10 +46,11 @@ struct Gain {
     double dwell_s{0.0};
 };
 
-Gain residual_gain(const model::Instance& inst, const HoverCandidate& c,
+Gain residual_gain(const model::Instance& inst,
+                   std::span<const std::int32_t> cov,
                    const std::vector<char>& covered, double bw) {
     Gain g;
-    for (const int v : c.covered) {
+    for (const std::int32_t v : cov) {
         if (covered[static_cast<std::size_t>(v)] != 0) continue;
         const auto& d = inst.devices[static_cast<std::size_t>(v)];
         if (d.data_mb <= 0.0) continue;
@@ -118,7 +119,8 @@ PlanResult GreedyCoveragePlanner::plan_reference(const PlanningContext& ctx,
             Score s{};
             if (used[i] == 0) {
                 const auto& c = cands[i];
-                const Gain g = residual_gain(inst, c, covered, bw);
+                const Gain g =
+                    residual_gain(inst, view.set->covered(i), covered, bw);
                 s.new_mb = g.new_mb;
                 s.dwell_s = g.dwell_s;
                 if (s.new_mb > 0.0) {
@@ -190,7 +192,7 @@ PlanResult GreedyCoveragePlanner::plan_reference(const PlanningContext& ctx,
         hover_energy += s.dwell_s * eta_h;
         hover_seconds += s.dwell_s;
         collected_mb += s.new_mb;
-        for (const int v : c.covered) {
+        for (const std::int32_t v : view.set->covered(best)) {
             covered[static_cast<std::size_t>(v)] = 1;
         }
 
@@ -253,7 +255,7 @@ PlanResult GreedyCoveragePlanner::plan_incremental(
     std::pmr::vector<double> gain_mb(n, 0.0, mr);
     std::pmr::vector<double> gain_dwell(n, 0.0, mr);
     auto refresh_gain = [&](std::size_t i) {
-        const auto cov = csoa.covered(i);
+        const auto cov = view.set->covered(i);
         const kernels::GainAccum g =
             fast ? kernels::residual_gain_fast(cov.data(), cov.size(),
                                                dsoa.data_mb.data(),
@@ -368,7 +370,7 @@ PlanResult GreedyCoveragePlanner::plan_incremental(
         // Newly covered devices dirty exactly the candidates that share
         // them (inverted index) — nobody else's gain moved.
         gain_dirty.clear();
-        for (const int v : c.covered) {
+        for (const std::int32_t v : view.set->covered(best)) {
             const auto dv = static_cast<std::size_t>(v);
             if (covered[dv] != 0) continue;
             covered[dv] = 1;

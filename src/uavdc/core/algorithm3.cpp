@@ -77,10 +77,11 @@ PlanResult PartialCollectionPlanner::plan_reference(
         auto score_one = [&](std::size_t j) {
             Score best{};
             const auto& c = cands[j];
+            const auto cov = view.set->covered(j);
             // t'(s_j): max residual upload time over C(s_j) (Eq. 12 with
             // residual volumes, per Alg. 3 lines 11-12).
             double t_full = 0.0;
-            for (int v : c.covered) {
+            for (const std::int32_t v : cov) {
                 t_full = std::max(
                     t_full, residual[static_cast<std::size_t>(v)] / bw);
             }
@@ -97,7 +98,7 @@ PlanResult PartialCollectionPlanner::plan_reference(
                     const double dt = static_cast<double>(k) * t_full /
                                       static_cast<double>(k_max);
                     double gain = 0.0;  // Eq. 4 under residual volumes
-                    for (int v : c.covered) {
+                    for (const std::int32_t v : cov) {
                         gain += std::min(
                             residual[static_cast<std::size_t>(v)], bw * dt);
                     }
@@ -158,7 +159,7 @@ PlanResult PartialCollectionPlanner::plan_reference(
         hover_seconds += s.extra_dwell_s;
         collected_mb += s.new_mb;
         const double budget_mb = bw * s.extra_dwell_s;
-        for (int v : c.covered) {
+        for (const std::int32_t v : view.set->covered(best)) {
             auto& r = residual[static_cast<std::size_t>(v)];
             r -= std::min(r, budget_mb);
         }
@@ -230,7 +231,7 @@ PlanResult PartialCollectionPlanner::plan_incremental(
     // permanently dead (residuals only shrink, so t'(s) <= eps or all-k
     // gains <= kMinGainMb can never revert).
     auto key_of = [&](std::size_t j) {
-        const auto cov = csoa.covered(j);
+        const auto cov = view.set->covered(j);
         const double t_full = kernels::max_residual_time_ordered(
             cov.data(), cov.size(), residual.data(), bw);
         if (t_full <= kEps) return -1.0;
@@ -254,7 +255,7 @@ PlanResult PartialCollectionPlanner::plan_incremental(
     // cached insertion standing in for tour.cheapest_insertion.
     auto eval = [&](std::size_t j) -> std::pair<double, bool> {
         Score best{};
-        const auto cov = csoa.covered(j);
+        const auto cov = view.set->covered(j);
         const double t_full = kernels::max_residual_time_ordered(
             cov.data(), cov.size(), residual.data(), bw);
         if (t_full > kEps) {
@@ -341,7 +342,7 @@ PlanResult PartialCollectionPlanner::plan_incremental(
         // a fresh key or retirement).
         const double budget_mb = bw * s.extra_dwell_s;
         gain_dirty.clear();
-        for (int v : c.covered) {
+        for (const std::int32_t v : view.set->covered(best)) {
             const auto dv = static_cast<std::size_t>(v);
             auto& r = residual[dv];
             const double before = r;

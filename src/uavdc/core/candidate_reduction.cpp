@@ -14,11 +14,12 @@ namespace uavdc::core {
 
 namespace {
 
-/// a ⊆ b over sorted device-index vectors (two-pointer scan).
-bool subset_of(const std::vector<int>& a, const std::vector<int>& b) {
+/// a ⊆ b over sorted device-index lists (two-pointer scan).
+bool subset_of(std::span<const std::int32_t> a,
+               std::span<const std::int32_t> b) {
     if (a.size() > b.size()) return false;
     std::size_t ib = 0;
-    for (const int v : a) {
+    for (const std::int32_t v : a) {
         while (ib < b.size() && b[ib] < v) ++ib;
         if (ib == b.size() || b[ib] != v) return false;
         ++ib;
@@ -60,24 +61,26 @@ void mark_dominated(const HoverCandidateSet& full, double radius,
     const double r2 = radius * radius;
     for (std::size_t j = 0; j < cands.size(); ++j) {
         const auto& cj = cands[j];
+        const auto cov_j = full.covered(j);
         bool dominated = false;
         index.for_each_in_disk(cj.pos, radius, [&](int ki) {
             if (dominated) return;
             const auto k = static_cast<std::size_t>(ki);
             if (k == j) return;
             const auto& ck = cands[k];
-            if (ck.covered.size() < cj.covered.size()) return;
+            const auto cov_k = full.covered(k);
+            if (cov_k.size() < cov_j.size()) return;
             if (ck.award_mb < cj.award_mb) return;
             if (cj.dwell_s < ck.dwell_s * (1.0 - slack)) return;
             const double dx = ck.pos.x - cj.pos.x;
             const double dy = ck.pos.y - cj.pos.y;
             if (dx * dx + dy * dy > r2) return;
-            if (ck.covered.size() == cj.covered.size()) {
+            if (cov_k.size() == cov_j.size()) {
                 // Equal size + subset = identical coverage: keep the
                 // lowest index so mutual dominators never both drop.
                 if (k > j) return;
             }
-            if (subset_of(cj.covered, ck.covered)) dominated = true;
+            if (subset_of(cov_j, cov_k)) dominated = true;
         });
         if (dominated) {
             kept[j] = 0;
@@ -178,7 +181,7 @@ void reinstate_coverage(const HoverCandidateSet& full,
     std::vector<char> device_ok(num_devices, 0);
     for (std::size_t j = 0; j < cands.size(); ++j) {
         if (kept[j] == 0) continue;
-        for (const int v : cands[j].covered) {
+        for (const std::int32_t v : full.covered(j)) {
             device_ok[static_cast<std::size_t>(v)] = 1;
         }
     }
@@ -197,7 +200,7 @@ void reinstate_coverage(const HoverCandidateSet& full,
         }
         kept[pick] = 1;
         ++reinstated;
-        for (const int u : cands[pick].covered) {
+        for (const std::int32_t u : full.covered(pick)) {
             device_ok[static_cast<std::size_t>(u)] = 1;
         }
     }
@@ -210,15 +213,13 @@ ReducedCandidates gather(const HoverCandidateSet& full,
                          const std::vector<char>& kept,
                          CandidateReductionStats stats) {
     ReducedCandidates out;
-    out.set.grid_cells = full.grid_cells;
-    out.set.nonzero_cells = full.nonzero_cells;
-    out.set.after_dedupe = full.after_dedupe;
-    out.set.delta_m = full.delta_m;
-    for (std::size_t j = 0; j < full.candidates.size(); ++j) {
+    std::vector<std::size_t> picks;
+    for (std::size_t j = 0; j < full.size(); ++j) {
         if (kept[j] == 0) continue;
-        out.set.candidates.push_back(full.candidates[j]);
+        picks.push_back(j);
         out.original_index.push_back(util::checked_cast<std::int32_t>(j));
     }
+    out.set = full.subset(picks);
     stats.kept = util::checked_cast<int>(out.set.candidates.size());
     out.stats = stats;
     out.soa = build_candidate_soa(out.set, num_devices);

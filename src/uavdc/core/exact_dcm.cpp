@@ -15,7 +15,8 @@ ExactDcmResult solve_exact_dcm(const PlanningContext& ctx,
                                const ExactDcmConfig& cfg) {
     ExactDcmResult out;
     const model::Instance& inst = ctx.instance();
-    const auto& cands = ctx.candidates().candidates;
+    const HoverCandidateSet& set = ctx.candidates();
+    const auto& cands = set.candidates;
     const std::size_t m = cands.size();
     UAVDC_REQUIRE(m <= static_cast<std::size_t>(cfg.max_candidates_for_exact))
         << "solve_exact_dcm: candidate set too large (" << m << " > "
@@ -35,7 +36,7 @@ ExactDcmResult solve_exact_dcm(const PlanningContext& ctx,
             if (!(mask & (std::size_t{1} << c))) continue;
             nodes.push_back(c + 1);
             hover_s += cands[c].dwell_s;
-            for (int v : cands[c].covered) {
+            for (const std::int32_t v : set.covered(c)) {
                 const auto d = static_cast<std::size_t>(v);
                 if (!covered[d]) {
                     covered[d] = true;

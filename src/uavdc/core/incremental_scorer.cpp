@@ -27,12 +27,10 @@ std::optional<ScoringEngine> scoring_engine_from_string(
 InvertedCoverageIndex::InvertedCoverageIndex(const HoverCandidateSet& cands,
                                              std::size_t num_devices) {
     starts_.assign(num_devices + 1, 0);
-    for (const auto& c : cands.candidates) {
-        for (const int v : c.covered) {
-            const auto dv = static_cast<std::size_t>(v);
-            UAVDC_DCHECK(dv < num_devices);
-            ++starts_[dv + 1];
-        }
+    for (const std::int32_t v : cands.cov) {
+        const auto dv = static_cast<std::size_t>(v);
+        UAVDC_DCHECK(dv < num_devices);
+        ++starts_[dv + 1];
     }
     for (std::size_t v = 0; v < num_devices; ++v) {
         starts_[v + 1] += starts_[v];
@@ -41,10 +39,10 @@ InvertedCoverageIndex::InvertedCoverageIndex(const HoverCandidateSet& cands,
     std::vector<std::size_t> cursor(starts_.begin(), starts_.end() - 1);
     // Candidates are visited in ascending index order, so each device's
     // covering list comes out sorted.
-    for (std::size_t j = 0; j < cands.candidates.size(); ++j) {
-        for (const int v : cands.candidates[j].covered) {
-            cand_[cursor[static_cast<std::size_t>(v)]++] =
-                util::checked_cast<std::int32_t>(j);
+    for (std::size_t j = 0; j < cands.size(); ++j) {
+        const auto cj = util::checked_cast<std::int32_t>(j);
+        for (const std::int32_t v : cands.covered(j)) {
+            cand_[cursor[static_cast<std::size_t>(v)]++] = cj;
         }
     }
 }

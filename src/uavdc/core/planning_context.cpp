@@ -53,8 +53,6 @@ PlanningContext::PlanningContext(model::Instance inst,
     : inst_(std::move(inst)),
       cfg_(std::move(cfg)),
       energy_(inst_.uav),
-      device_index_(inst_.device_positions(),
-                    std::max(inst_.uav.coverage_radius_m, 1e-9)),
       device_soa_(build_device_soa(inst_)) {
     std::uint64_t h = instance_fingerprint(inst_);
     fnv_mix(h, config_fingerprint(cfg_));
@@ -105,9 +103,10 @@ const HoverCandidateSet& PlanningContext::candidates() const {
         try {
             cands_ = build_hover_candidates(inst_, cfg_, &device_soa_);
         } catch (const std::invalid_argument&) {
-            // A refused instance (a grid too large for int cell ids) stays
-            // refused. Rethrow outside call_once: an exception escaping it
-            // hangs under ThreadSanitizer's pthread_once.
+            // A refused instance (a grid too large for int cell ids, or
+            // over the candidate work bound) stays refused. Rethrow outside
+            // call_once: an exception escaping it hangs under
+            // ThreadSanitizer's pthread_once.
             cand_error_ = std::current_exception();
             return;
         }
@@ -385,7 +384,7 @@ std::shared_ptr<const PlanningContext> PlanningContextCache::obtain(
         }
     }
     // Build outside the lock: context construction copies the instance and
-    // indexes devices, which should not serialise unrelated lookups. A
+    // lays out its devices, which should not serialise unrelated lookups. A
     // racing builder of the same key is tolerated — the first insert wins
     // and the loser's context is used once then dropped; the expensive
     // candidate build is lazy, so the duplicate costs only the copy.

@@ -17,7 +17,6 @@
 #include "uavdc/core/planner.hpp"
 #include "uavdc/core/scratch_arena.hpp"
 #include "uavdc/core/soa_layout.hpp"
-#include "uavdc/geom/spatial_hash.hpp"
 #include "uavdc/model/instance.hpp"
 
 namespace uavdc::graph {
@@ -69,12 +68,12 @@ struct ContextCacheStats {
 
 /// Immutable, shareable bundle of per-instance planning precompute
 /// (Sec. III-B): the problem instance itself, the grid hover-candidate set
-/// (Eq. 6-8 awards/dwells, built lazily on first use and parallelised over
-/// the thread pool), a spatial index over device positions, a lazily-filled
-/// candidate-pair distance cache, and the `EnergyView`. Build one per
-/// instance — directly with `build()`, or memoized through `obtain()` — and
-/// hand the same context to every planner so a `compare_planners` or sweep
-/// run pays the precompute once instead of once per planner.
+/// (Eq. 6-8 awards/dwells, built lazily on first use from the devices'
+/// coverage disks), a lazily-filled candidate-pair distance cache, and the
+/// `EnergyView`. Build one per instance — directly with `build()`, or
+/// memoized through `obtain()` — and hand the same context to every planner
+/// so a `compare_planners` or sweep run pays the precompute once instead of
+/// once per planner.
 ///
 /// Thread-safe: all lazy fills are guarded, and every accessor is const, so
 /// one context may serve concurrent planners.
@@ -96,16 +95,11 @@ class PlanningContext {
 
     /// The Sec. III-B candidate set; built on first call (thread-safe).
     /// Throws std::invalid_argument, on every call, when the instance's
-    /// delta-grid has more cells than int cell ids address.
+    /// delta-grid has more cells than int cell ids address or its coverage
+    /// windows exceed kMaxCandidateWindowCells.
     [[nodiscard]] const HoverCandidateSet& candidates() const;
     /// True once `candidates()` has run (for laziness/caching tests).
     [[nodiscard]] bool candidates_built() const;
-
-    /// Spatial index over device positions (bucket edge = R0); empty
-    /// instances yield an index with size() == 0.
-    [[nodiscard]] const geom::SpatialHash& device_index() const {
-        return device_index_;
-    }
 
     /// SoA view of the instance's devices (positions, data volumes,
     /// precomputed upload times); built eagerly at construction (O(devices))
@@ -195,7 +189,6 @@ class PlanningContext {
     model::Instance inst_;
     HoverCandidateConfig cfg_;
     model::EnergyView energy_;
-    geom::SpatialHash device_index_;
     DeviceSoa device_soa_;
     std::uint64_t fingerprint_{0};
 

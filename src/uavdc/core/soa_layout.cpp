@@ -62,34 +62,26 @@ CandidateSoa build_candidate_soa(const HoverCandidateSet& set) {
     out.pos.ys.assign(padded, 0.0);
     out.award_mb.assign(padded, 0.0);
     out.dwell_s.assign(padded, 0.0);
-    out.cov_starts.assign(n + 1, 0);
-    std::size_t total = 0;
-    for (std::size_t j = 0; j < n; ++j) total += cands[j].covered.size();
-    out.cov.reserve(total);
     for (std::size_t j = 0; j < n; ++j) {
         const auto& c = cands[j];
         out.pos.xs[j] = c.pos.x;
         out.pos.ys[j] = c.pos.y;
         out.award_mb[j] = c.award_mb;
         out.dwell_s[j] = c.dwell_s;
-        for (const int v : c.covered) {
-            out.cov.push_back(util::checked_cast<std::int32_t>(v));
-        }
-        out.cov_starts[j + 1] = out.cov.size();
     }
     return out;
 }
 
 CandidateSoa build_candidate_soa(const HoverCandidateSet& set,
                                  std::size_t num_devices) {
-    // The CSR pool narrows device ids to std::int32_t; an instance with
-    // more devices than int32 can address would wrap silently, so fail at
-    // build time — before any id is narrowed.
+    // The engines index their device arrays with the set's std::int32_t
+    // CSR ids; an id space int32 cannot address, or an id outside the
+    // instance, fails here rather than as a wild read mid-plan.
     UAVDC_CHECK(num_devices <= kMaxInt32)
         << "build_candidate_soa: " << num_devices
         << " devices exceed the int32 CSR id space";
-    for (std::size_t j = 0; j < set.candidates.size(); ++j) {
-        for (const int v : set.candidates[j].covered) {
+    for (std::size_t j = 0; j < set.size(); ++j) {
+        for (const std::int32_t v : set.covered(j)) {
             UAVDC_CHECK(v >= 0 && static_cast<std::size_t>(v) < num_devices)
                 << "build_candidate_soa: candidate " << j
                 << " covers device id " << v << " outside [0, "

@@ -54,39 +54,31 @@ struct DeviceSoa {
     [[nodiscard]] std::size_t size() const { return pos.size(); }
 };
 
-/// Hover-candidate fields hot in the scoring loops, in SoA form, plus the
-/// forward CSR coverage lists (candidate -> covered devices) — the
-/// transpose of InvertedCoverageIndex — so coverage-gain accumulation walks
-/// one flat std::int32_t array instead of chasing per-candidate
-/// std::vector<int> buffers.
+/// Hover-candidate fields hot in the scoring loops, in SoA form. The
+/// coverage lists are not mirrored: the engines walk the set's own forward
+/// CSR (`HoverCandidateSet::covered`), one flat std::int32_t pool — the
+/// transpose of InvertedCoverageIndex.
 struct CandidateSoa {
     PointsSoa pos;
     util::AlignedVector<double> award_mb;
     util::AlignedVector<double> dwell_s;
-    /// CSR offsets: candidate j covers cov[cov_starts[j] .. cov_starts[j+1]).
-    std::vector<std::size_t> cov_starts;
-    util::AlignedVector<std::int32_t> cov;
 
     [[nodiscard]] std::size_t size() const { return pos.size(); }
-    [[nodiscard]] std::span<const std::int32_t> covered(std::size_t j) const {
-        return {cov.data() + cov_starts[j], cov_starts[j + 1] - cov_starts[j]};
-    }
 };
 
 /// SoA view of an instance's devices (O(devices) build).
 [[nodiscard]] DeviceSoa build_device_soa(const model::Instance& inst);
 
-/// SoA view of a hover-candidate set (O(candidates + coverage) build).
-/// Covered-device ids are narrowed into the std::int32_t CSR pool; this
-/// overload cannot range-check them (the device count is unknown here) but
-/// still guards the candidate count, whose indices other layers
-/// (InvertedCoverageIndex, reduction back-maps) also store as int32.
+/// SoA view of a hover-candidate set (O(candidates) build). This overload
+/// cannot range-check the set's covered-device ids (the device count is
+/// unknown here) but still guards the candidate count, whose indices other
+/// layers (InvertedCoverageIndex, reduction back-maps) store as int32.
 [[nodiscard]] CandidateSoa build_candidate_soa(const HoverCandidateSet& set);
 
 /// Checked build: additionally UAVDC_CHECKs that `num_devices` fits the
-/// int32 id space and that every covered-device id lies in
-/// [0, num_devices), so a scale-large instance cannot silently wrap in the
-/// CSR pool. Prefer this overload whenever the instance is at hand.
+/// int32 id space and that every id in the set's CSR pool lies in
+/// [0, num_devices), so no engine indexes past its device arrays. Prefer
+/// this overload whenever the instance is at hand.
 [[nodiscard]] CandidateSoa build_candidate_soa(const HoverCandidateSet& set,
                                                std::size_t num_devices);
 

@@ -46,10 +46,7 @@ Grid::Grid(Aabb region, double delta)
 
 Vec2 Grid::center(int id) const {
     UAVDC_DCHECK(id >= 0 && id < num_cells());
-    const int ix = ix_of(id);
-    const int iy = iy_of(id);
-    return {region_.lo.x + (ix + 0.5) * delta_,
-            region_.lo.y + (iy + 0.5) * delta_};
+    return center_of(ix_of(id), iy_of(id));
 }
 
 Aabb Grid::cell_box(int id) const {
@@ -70,27 +67,28 @@ int Grid::cell_of(const Vec2& p) const {
     return id_of(ix, iy);
 }
 
+Grid::Window Grid::disk_window(const Vec2& p, double r) const {
+    // Bounds are formed and clamped in double, so a far-off p or a vast r
+    // cannot overflow int before the clamp; r < 0 or NaN leaves it empty.
+    auto first = [&](double c, double lo) {
+        return std::max(0.0, std::floor((c - r - lo) / delta_ - 0.5) - 1.0);
+    };
+    auto last = [&](double c, double lo, int n) {
+        return std::min(n - 1.0, std::ceil((c + r - lo) / delta_ - 0.5) + 1.0);
+    };
+    const double x0 = first(p.x, region_.lo.x);
+    const double x1 = last(p.x, region_.lo.x, nx_);
+    const double y0 = first(p.y, region_.lo.y);
+    const double y1 = last(p.y, region_.lo.y, ny_);
+    if (!(r >= 0.0 && x0 <= x1 && y0 <= y1)) return {};
+    return {static_cast<int>(x0), static_cast<int>(x1), static_cast<int>(y0),
+            static_cast<int>(y1)};
+}
+
 std::vector<int> Grid::cells_with_center_in_disk(const Vec2& p,
                                                  double r) const {
     std::vector<int> out;
-    if (r < 0.0) return out;
-    // Candidate index window around p.
-    const int ix_lo = static_cast<int>(
-        std::floor((p.x - r - region_.lo.x) / delta_ - 0.5));
-    const int ix_hi = static_cast<int>(
-        std::ceil((p.x + r - region_.lo.x) / delta_ - 0.5));
-    const int iy_lo = static_cast<int>(
-        std::floor((p.y - r - region_.lo.y) / delta_ - 0.5));
-    const int iy_hi = static_cast<int>(
-        std::ceil((p.y + r - region_.lo.y) / delta_ - 0.5));
-    const double r2 = r * r;
-    for (int iy = std::max(0, iy_lo); iy <= std::min(ny_ - 1, iy_hi); ++iy) {
-        for (int ix = std::max(0, ix_lo); ix <= std::min(nx_ - 1, ix_hi);
-             ++ix) {
-            const int id = id_of(ix, iy);
-            if (distance2(center(id), p) <= r2) out.push_back(id);
-        }
-    }
+    for_each_cell_in_disk(p, r, [&](int id) { out.push_back(id); });
     return out;
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -103,18 +104,20 @@ TEST(SoaLayout, CandidateSoaMirrorsCsrCoverage) {
 
     const CandidateSoa soa = build_candidate_soa(set);
     ASSERT_EQ(soa.size(), set.candidates.size());
-    ASSERT_EQ(soa.cov_starts.size(), set.candidates.size() + 1);
+    ASSERT_EQ(set.cov_starts.size(), set.candidates.size() + 1);
+    EXPECT_EQ(set.cov_starts.back(), set.cov.size());
     for (std::size_t j = 0; j < set.candidates.size(); ++j) {
         const auto& c = set.candidates[j];
         EXPECT_EQ(soa.pos.xs[j], c.pos.x);
         EXPECT_EQ(soa.pos.ys[j], c.pos.y);
         EXPECT_EQ(soa.award_mb[j], c.award_mb);
         EXPECT_EQ(soa.dwell_s[j], c.dwell_s);
-        const auto cov = soa.covered(j);
-        ASSERT_EQ(cov.size(), c.covered.size());
-        for (std::size_t t = 0; t < cov.size(); ++t) {
-            EXPECT_EQ(cov[t], c.covered[t]);
-        }
+        // The engines read coverage from the set's one CSR: contiguous
+        // slices of ascending device ids.
+        const auto cov = set.covered(j);
+        ASSERT_EQ(cov.data(), set.cov.data() + set.cov_starts[j]);
+        ASSERT_FALSE(cov.empty());
+        EXPECT_TRUE(std::ranges::is_sorted(cov));
     }
 }
 

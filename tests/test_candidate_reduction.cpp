@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -73,8 +74,9 @@ HoverCandidateConfig hover_cfg(const model::Instance& inst) {
 
 std::set<int> covered_devices(const HoverCandidateSet& set) {
     std::set<int> out;
-    for (const auto& c : set.candidates) {
-        out.insert(c.covered.begin(), c.covered.end());
+    for (std::size_t j = 0; j < set.size(); ++j) {
+        const auto cov = set.covered(j);
+        out.insert(cov.begin(), cov.end());
     }
     return out;
 }
@@ -150,7 +152,8 @@ TEST(CandidateReduction, SurvivorsAreExactOriginals) {
         EXPECT_EQ(a.cell_id, b.cell_id);
         EXPECT_EQ(a.award_mb, b.award_mb);
         EXPECT_EQ(a.dwell_s, b.dwell_s);
-        EXPECT_EQ(a.covered, b.covered);
+        EXPECT_TRUE(std::ranges::equal(
+            red.set.covered(i), full.covered(static_cast<std::size_t>(oi))));
     }
 }
 
@@ -484,21 +487,21 @@ TEST(PlanDriver, ReducedBandPlansBitIdenticalAcrossEngines) {
 
 TEST(CandidateSoaGuards, AcceptsValidCoverage) {
     HoverCandidateSet set;
-    set.candidates.push_back({{1.0, 2.0}, 0, {0, 2}, 30.0, 1.0, 10.0});
-    set.candidates.push_back({{3.0, 4.0}, 1, {1}, 20.0, 0.5, 5.0});
+    set.add({{1.0, 2.0}, 0, 30.0, 1.0, 10.0}, std::vector<std::int32_t>{0, 2});
+    set.add({{3.0, 4.0}, 1, 20.0, 0.5, 5.0}, std::vector<std::int32_t>{1});
     const auto soa = core::build_candidate_soa(set, 3);
     EXPECT_EQ(soa.size(), 2u);
 }
 
 TEST(CandidateSoaGuards, RejectsDeviceIdAtOrAboveCount) {
     HoverCandidateSet set;
-    set.candidates.push_back({{1.0, 2.0}, 0, {2}, 30.0, 1.0, 10.0});
+    set.add({{1.0, 2.0}, 0, 30.0, 1.0, 10.0}, std::vector<std::int32_t>{2});
     EXPECT_THROW((void)core::build_candidate_soa(set, 2), ContractViolation);
 }
 
 TEST(CandidateSoaGuards, RejectsNegativeDeviceId) {
     HoverCandidateSet set;
-    set.candidates.push_back({{1.0, 2.0}, 0, {-1}, 30.0, 1.0, 10.0});
+    set.add({{1.0, 2.0}, 0, 30.0, 1.0, 10.0}, std::vector<std::int32_t>{-1});
     EXPECT_THROW((void)core::build_candidate_soa(set, 4), ContractViolation);
 }
 
@@ -509,7 +512,7 @@ TEST(CandidateSoaGuards, RejectsDeviceCountBeyondInt32) {
         static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) +
         1;
     HoverCandidateSet set;
-    set.candidates.push_back({{1.0, 2.0}, 0, {0}, 30.0, 1.0, 10.0});
+    set.add({{1.0, 2.0}, 0, 30.0, 1.0, 10.0}, std::vector<std::int32_t>{0});
     EXPECT_THROW((void)core::build_candidate_soa(set, huge),
                  ContractViolation);
 }

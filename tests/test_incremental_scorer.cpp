@@ -275,7 +275,7 @@ TEST(InvertedCoverageIndex, MatchesBruteForceMembership) {
     for (std::size_t v = 0; v < inst.devices.size(); ++v) {
         std::vector<std::int32_t> expected;
         for (std::size_t j = 0; j < cands.candidates.size(); ++j) {
-            for (const int dv : cands.candidates[j].covered) {
+            for (const int dv : cands.covered(j)) {
                 if (static_cast<std::size_t>(dv) == v) {
                     expected.push_back(static_cast<std::int32_t>(j));
                 }
@@ -296,7 +296,7 @@ TEST(InvertedCoverageIndex, MatchesBruteForceMembership) {
     // contains it: every candidate listed loses gain, nobody else does.
     const std::size_t device = 0;
     for (std::size_t j = 0; j < cands.candidates.size(); ++j) {
-        const auto& cov = cands.candidates[j].covered;
+        const auto cov = cands.covered(j);
         const bool listed = [&] {
             for (const auto cj : index.covering(device)) {
                 if (static_cast<std::size_t>(cj) == j) return true;

@@ -168,14 +168,15 @@ TEST_P(VirtualLocationMonotonicity, PrizeAndDwellIncreaseWithK) {
     const auto cands = core::build_hover_candidates(inst, ccfg);
     ASSERT_GT(cands.size(), 0u);
     const double bw = inst.uav.bandwidth_mbps;
-    for (const auto& c : cands.candidates) {
+    for (std::size_t j = 0; j < cands.size(); ++j) {
+        const auto& c = cands.candidates[j];
         double prev_p = -1.0, prev_t = -1.0;
         for (int k = 1; k <= K; ++k) {
             const double t_k = static_cast<double>(k) * c.dwell_s /
                                static_cast<double>(K);
             // Eq. 4 with full (initial) volumes.
             double p_k = 0.0;
-            for (int v : c.covered) {
+            for (int v : cands.covered(j)) {
                 p_k += std::min(
                     inst.devices[static_cast<std::size_t>(v)].data_mb,
                     bw * t_k);
@@ -234,12 +235,12 @@ TEST(Algorithm1Disjoint, SelectedCoverageSetsPairwiseDisjoint) {
     const auto inst = testing::small_instance(40, 300.0, 88);
     core::HoverCandidateConfig ccfg;
     ccfg.delta_m = 15.0;
-    auto cands = core::build_hover_candidates(inst, ccfg);
+    const auto cands = core::build_hover_candidates(inst, ccfg);
     const auto disjoint = core::GridOrienteeringPlanner::select_disjoint(
-        std::move(cands), inst.num_devices());
+        cands, inst.num_devices());
     std::vector<int> hits(inst.num_devices(), 0);
-    for (const auto& c : disjoint.candidates) {
-        for (int v : c.covered) ++hits[static_cast<std::size_t>(v)];
+    for (std::size_t j = 0; j < disjoint.size(); ++j) {
+        for (int v : disjoint.covered(j)) ++hits[static_cast<std::size_t>(v)];
     }
     for (int h : hits) EXPECT_LE(h, 1);
 }

@@ -543,6 +543,69 @@ TEST(Service, RegionTooLargeForCellIdsIsABadRequest) {
     EXPECT_EQ(stats.ok, 2u);
 }
 
+TEST(Service, HostileGridsAnswerOkOrBadRequestNeverInternalError) {
+    // Candidate work scales with the devices' coverage disks, not the grid:
+    // a one-device 1e5 x 1e5 m field (1e8 cells) plans at once, a 0.05 m
+    // grid over one device (4e8 cells) is admissible, and 500 devices at
+    // 0.05 m exceed the work bound and are refused with the figure.
+    const auto wide =
+        uavdc::testing::manual_instance({{{5.0e4, 5.0e4}, 100.0}}, 1.0e5);
+    const auto lone =
+        uavdc::testing::manual_instance({{{500.0, 500.0}, 100.0}}, 1000.0);
+    const auto crowd = uavdc::testing::small_instance(500, 1000.0, 3);
+    const auto vast =
+        uavdc::testing::manual_instance({{{5.0e6, 5.0e6}, 100.0}}, 1.0e7);
+    PlanService::Config cfg;
+    cfg.workers = 1;
+    PlanService svc(cfg);
+    std::mutex mu;
+    std::map<std::string, PlanResponse> got;
+    auto submit = [&](PlanRequest req) {
+        svc.submit(std::move(req), [&](PlanResponse resp) {
+            std::lock_guard lock(mu);
+            got[resp.id] = std::move(resp);
+        });
+    };
+    auto fine = [](PlanRequest req) {
+        req.overrides.delta_m = 0.05;
+        return req;
+    };
+    const auto start = std::chrono::steady_clock::now();
+    submit(make_request("wide", "alg2", wide));
+    submit(make_request("wide_alg3", "alg3", wide));
+    svc.drain();
+    const double wide_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    submit(fine(make_request("fine", "alg2", lone)));
+    submit(fine(make_request("fine_crowd", "alg2", crowd)));
+    submit(make_request("vast", "alg2", vast));
+    submit(make_request("paper", "alg2", uavdc::testing::small_instance()));
+    svc.drain();
+
+    EXPECT_LT(wide_s, 5.0);
+    for (const std::string id : {"wide", "wide_alg3", "paper"}) {
+        EXPECT_EQ(got.at(id).status, ResponseStatus::kOk)
+            << id << ": " << got.at(id).error;
+    }
+    const PlanResponse& one = got.at("fine");
+    if (one.status == ResponseStatus::kBadRequest) {
+        EXPECT_NE(one.error.find("grid cells"), std::string::npos)
+            << one.error;
+    } else {
+        EXPECT_EQ(one.status, ResponseStatus::kOk) << one.error;
+    }
+    const PlanResponse& crowded = got.at("fine_crowd");
+    EXPECT_EQ(crowded.status, ResponseStatus::kBadRequest) << crowded.error;
+    EXPECT_NE(crowded.error.find("grid cells within R0"), std::string::npos)
+        << crowded.error;
+    EXPECT_NE(crowded.error.find("limit"), std::string::npos)
+        << crowded.error;
+    EXPECT_EQ(got.at("vast").status, ResponseStatus::kBadRequest)
+        << got.at("vast").error;
+    EXPECT_EQ(svc.stats().internal_errors, 0u);
+}
+
 TEST(Service, ThrowingCallbackDoesNotWedgeDrain) {
     const auto inst = uavdc::testing::small_instance(10, 160.0, 86);
     PlanService::Config cfg;
