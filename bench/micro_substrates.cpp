@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the substrate layers: spatial hash,
-// coverage index, Christofides, 2-opt, and the discrete-event simulator.
+// coverage index, Christofides and its exact matching step, 2-opt, and the
+// discrete-event simulator.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "uavdc/graph/held_karp.hpp"
 #include "uavdc/graph/christofides.hpp"
 #include "uavdc/graph/local_search.hpp"
+#include "uavdc/graph/matching.hpp"
 #include "uavdc/sim/simulator.hpp"
 #include "uavdc/util/rng.hpp"
 #include "uavdc/workload/presets.hpp"
@@ -79,7 +81,24 @@ void BM_Christofides(benchmark::State& state) {
         benchmark::DoNotOptimize(tour.size());
     }
 }
-BENCHMARK(BM_Christofides)->Arg(50)->Arg(200)->Arg(500);
+// Arg(40) is about the tour size of a cold paper-preset alg2 plan (at this
+// seed its 20 odd-degree nodes exceed the exact limit, so it runs greedy).
+BENCHMARK(BM_Christofides)->Arg(40)->Arg(50)->Arg(200)->Arg(500);
+
+// The exact matching step of Christofides alone, on k Euclidean nodes
+// (planner tours call it with k <= 18, the exact_matching_limit default).
+void BM_ExactMatching(benchmark::State& state) {
+    const auto k = static_cast<std::size_t>(state.range(0));
+    const auto pts = random_points(static_cast<int>(k), 13, 1000.0);
+    const auto g = graph::DenseGraph::euclidean(pts);
+    std::vector<std::size_t> nodes(k);
+    for (std::size_t i = 0; i < k; ++i) nodes[i] = i;
+    for (auto _ : state) {
+        auto m = graph::exact_min_matching(g, nodes);
+        benchmark::DoNotOptimize(m.data());
+    }
+}
+BENCHMARK(BM_ExactMatching)->Arg(14)->Arg(16)->Arg(18)->Arg(22);
 
 void BM_TwoOpt(benchmark::State& state) {
     const auto pts =

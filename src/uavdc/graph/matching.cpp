@@ -1,7 +1,11 @@
 #include "uavdc/graph/matching.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <limits>
+#include <mutex>
+#include <unordered_map>
 
 #include "uavdc/util/check.hpp"
 
@@ -9,11 +13,83 @@ namespace uavdc::graph {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 void require_even(const std::vector<std::size_t>& nodes) {
     UAVDC_REQUIRE(nodes.size() % 2 == 0)
         << "matching: node set must have even cardinality, got "
         << nodes.size();
 }
+
+/// The masks the exact matching DP reaches from the full set of k nodes,
+/// and its transitions between them. This depends on k alone, so it is
+/// built once per k and shared read-only by every thread.
+///
+/// dp[mask] = min cost to perfectly match exactly the nodes in `mask`; the
+/// transition matches mask's lowest set bit i to each set bit j above it in
+/// ascending order, so each mask has a unique decomposition to reconstruct.
+/// From the full set that recursion reaches only the masks whose r cleared
+/// bits above the lowest set bit m satisfy r <= m: Fibonacci(k + 1) states
+/// counting the empty mask (4,181 at k = 18, against 2^17 even masks) and
+/// 30,510 transitions (1.05M over every even mask).
+struct MaskGraph {
+    /// State masks in post order: a state's submasks come before it, the
+    /// empty mask is state 0 and the full set is the last state.
+    std::vector<std::uint32_t> mask;
+    /// State s's transitions are edge[first[s] .. first[s + 1]).
+    std::vector<std::uint32_t> first;
+    /// One transition: (submask state << 5) | j, in ascending j.
+    std::vector<std::uint32_t> edge;
+};
+
+constexpr unsigned kEdgeBitShift = 5;  // j < 22 fits the low five bits
+constexpr std::uint32_t kEdgeBitMask = (1u << kEdgeBitShift) - 1;
+
+MaskGraph build_mask_graph(std::size_t k) {
+    MaskGraph mg;
+    mg.mask = {0};
+    mg.first = {0, 0};
+    std::unordered_map<std::uint32_t, std::uint32_t> state_of;
+    const auto visit = [&](auto&& self, std::uint32_t mask) -> std::uint32_t {
+        if (mask == 0) return 0;
+        if (const auto it = state_of.find(mask); it != state_of.end()) {
+            return it->second;
+        }
+        const std::uint32_t rest = mask & (mask - 1);
+        std::vector<std::uint32_t> out;
+        for (std::uint32_t bits = rest; bits != 0; bits &= bits - 1) {
+            const auto j = static_cast<std::uint32_t>(__builtin_ctz(bits));
+            const std::uint32_t sub = self(self, rest ^ (1u << j));
+            out.push_back((sub << kEdgeBitShift) | j);
+        }
+        const auto s = static_cast<std::uint32_t>(mg.mask.size());
+        mg.mask.push_back(mask);
+        mg.edge.insert(mg.edge.end(), out.begin(), out.end());
+        mg.first.push_back(static_cast<std::uint32_t>(mg.edge.size()));
+        state_of.emplace(mask, s);
+        return s;
+    };
+    (void)visit(visit, (std::uint32_t{1} << k) - 1);
+    return mg;
+}
+
+/// The shared MaskGraph for k <= 22, built on first use.
+const MaskGraph& mask_graph(std::size_t k) {
+    static std::array<std::once_flag, 23> once;
+    static std::array<MaskGraph, 23> graphs;
+    std::call_once(once[k], [k] { graphs[k] = build_mask_graph(k); });
+    return graphs[k];
+}
+
+/// Per-thread DP scratch, sized by the reachable-state count and grow-only,
+/// so a warm thread allocates nothing per call.
+struct MatchingScratch {
+    std::vector<double> w;  // w[i * k + j] = g.weight(nodes[i], nodes[j])
+    std::vector<double> dp;
+    std::vector<std::int32_t> choice;  // edge taken by the state, or -1
+};
+
+thread_local MatchingScratch t_matching;
 
 }  // namespace
 
@@ -26,40 +102,51 @@ Matching exact_min_matching(const DenseGraph& g,
     UAVDC_REQUIRE(k <= 22)
         << "exact_min_matching: too many nodes for bitmask DP (k=" << k
         << ")";
-    const std::size_t full = (std::size_t{1} << k) - 1;
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    // dp[mask] = min cost to perfectly match exactly the nodes in `mask`.
-    // The lowest set bit of `mask` is always matched in the transition, so
-    // each even-popcount mask has a unique decomposition to reconstruct.
-    std::vector<double> dp(full + 1, kInf);
-    std::vector<int> choice(full + 1, -1);  // partner of mask's lowest bit
-    dp[0] = 0.0;
-    for (std::size_t mask = 1; mask <= full; ++mask) {
-        const unsigned bits =
-            static_cast<unsigned>(__builtin_popcountll(mask));
-        if (bits % 2 != 0) continue;
-        std::size_t i = 0;
-        while (!(mask & (std::size_t{1} << i))) ++i;
+    const MaskGraph& mg = mask_graph(k);
+    MatchingScratch& scratch = t_matching;
+    scratch.w.resize(k * k);
+    for (std::size_t i = 0; i < k; ++i) {
         for (std::size_t j = i + 1; j < k; ++j) {
-            if (!(mask & (std::size_t{1} << j))) continue;
-            const std::size_t pm =
-                mask ^ (std::size_t{1} << i) ^ (std::size_t{1} << j);
-            if (dp[pm] == kInf) continue;
-            const double cand = dp[pm] + g.weight(nodes[i], nodes[j]);
-            if (cand < dp[mask]) {
-                dp[mask] = cand;
-                choice[mask] = static_cast<int>(j);
-            }
+            scratch.w[i * k + j] = g.weight(nodes[i], nodes[j]);
         }
     }
-    // Reconstruct.
-    std::size_t mask = full;
-    while (mask) {
-        std::size_t i = 0;
-        while (!(mask & (std::size_t{1} << i))) ++i;
-        const auto j = static_cast<std::size_t>(choice[mask]);
-        result.emplace_back(nodes[i], nodes[j]);
-        mask ^= (std::size_t{1} << i) | (std::size_t{1} << j);
+    const std::size_t states = mg.mask.size();
+    if (scratch.dp.size() < states) {
+        scratch.dp.resize(states);
+        scratch.choice.resize(states);
+    }
+    double* dp = scratch.dp.data();
+    std::int32_t* choice = scratch.choice.data();
+    dp[0] = 0.0;
+    for (std::size_t s = 1; s < states; ++s) {
+        const auto i = static_cast<std::size_t>(__builtin_ctz(mg.mask[s]));
+        const double* wi = scratch.w.data() + i * k;
+        double best = kInf;
+        std::int32_t pick = -1;
+        for (std::uint32_t e = mg.first[s]; e < mg.first[s + 1]; ++e) {
+            const double sub = dp[mg.edge[e] >> kEdgeBitShift];
+            if (sub == kInf) continue;
+            const double cand = sub + wi[mg.edge[e] & kEdgeBitMask];
+            if (cand < best) {
+                best = cand;
+                pick = static_cast<std::int32_t>(e);
+            }
+        }
+        dp[s] = best;
+        choice[s] = pick;
+    }
+    // A choice leads to a submask whose cost is below +inf, which has a
+    // choice of its own, so checking the full set covers the reconstruction.
+    std::size_t s = states - 1;
+    UAVDC_REQUIRE(choice[s] >= 0)
+        << "exact_min_matching: no perfect matching of the k=" << k
+        << " nodes weighs less than +inf";
+    result.reserve(k / 2);
+    while (s != 0) {
+        const std::uint32_t e = mg.edge[static_cast<std::size_t>(choice[s])];
+        const auto i = static_cast<std::size_t>(__builtin_ctz(mg.mask[s]));
+        result.emplace_back(nodes[i], nodes[e & kEdgeBitMask]);
+        s = e >> kEdgeBitShift;
     }
     return result;
 }
