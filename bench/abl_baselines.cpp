@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
         bench::alg1_factory(params),
         bench::alg2_factory(params),
         bench::alg3_factory(params, 2),
-        bench::benchmark_factory(params.scoring),
+        bench::benchmark_factory(),
         [] { return std::make_unique<core::ClusterPlanner>(); },
         [] { return std::make_unique<core::SweepPlanner>(); },
     };

@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
     const std::vector<std::pair<std::string, bench::PlannerFactory>> algos{
         {"alg2", bench::alg2_factory(params)},
         {"alg3-k4", bench::alg3_factory(params, 4)},
-        {"benchmark", bench::benchmark_factory(params.scoring)},
+        {"benchmark", bench::benchmark_factory()},
     };
     for (const auto& [name, factory] : algos) {
         util::Accumulator saved_j, saved_frac;

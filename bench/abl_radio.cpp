@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     const std::vector<std::pair<std::string, bench::PlannerFactory>> algos{
         {"alg2", bench::alg2_factory(params)},
         {"alg3-k4", bench::alg3_factory(params, 4)},
-        {"benchmark", bench::benchmark_factory(params.scoring)},
+        {"benchmark", bench::benchmark_factory()},
     };
     const std::vector<double> tapers{0.0, 0.25, 0.5, 0.75};
 

@@ -12,6 +12,7 @@
 #include "uavdc/core/algorithm3.hpp"
 #include "uavdc/core/benchmark_planner.hpp"
 #include "uavdc/core/evaluate.hpp"
+#include "uavdc/core/incremental_scorer.hpp"
 #include "uavdc/core/planning_context.hpp"
 #include "uavdc/io/json.hpp"
 #include "uavdc/util/check.hpp"
@@ -32,14 +33,6 @@ BenchSettings BenchSettings::parse(int argc, char** argv) {
     s.replicates = flags.get_int("replicates", s.full ? 15 : 5);
     s.seed = static_cast<std::uint64_t>(flags.get_int64("seed", 1));
     s.out_dir = flags.get_string("out", "bench_results");
-    const std::string scoring =
-        flags.get_string("scoring", to_string(s.scoring));
-    const auto parsed = core::scoring_engine_from_string(scoring);
-    UAVDC_CHECK(parsed.has_value())
-        << "--scoring must be incremental | incremental-fast | reference, "
-           "got \""
-        << scoring << "\"";
-    s.scoring = *parsed;
     return s;
 }
 
@@ -231,7 +224,6 @@ AlgoParams default_algo_params(const BenchSettings& s) {
     p.delta_m = 10.0;
     p.max_candidates = s.full ? 2500 : 1200;
     p.grasp_iterations = s.full ? 12 : 6;
-    p.scoring = s.scoring;
     return p;
 }
 
@@ -265,7 +257,6 @@ PlannerFactory alg2_factory(const AlgoParams& p) {
         core::Algorithm2Config cfg;
         cfg.candidates.delta_m = p.delta_m;
         cfg.candidates.max_candidates = p.max_candidates;
-        cfg.scoring = p.scoring;
         return std::make_unique<core::GreedyCoveragePlanner>(cfg);
     };
 }
@@ -276,17 +267,12 @@ PlannerFactory alg3_factory(const AlgoParams& p, int k) {
         cfg.candidates.delta_m = p.delta_m;
         cfg.candidates.max_candidates = p.max_candidates;
         cfg.k = k;
-        cfg.scoring = p.scoring;
         return std::make_unique<core::PartialCollectionPlanner>(cfg);
     };
 }
 
-PlannerFactory benchmark_factory(core::ScoringEngine scoring) {
-    return [scoring] {
-        core::BenchmarkPlannerConfig cfg;
-        cfg.scoring = scoring;
-        return std::make_unique<core::PruneTspPlanner>(cfg);
-    };
+PlannerFactory benchmark_factory() {
+    return [] { return std::make_unique<core::PruneTspPlanner>(); };
 }
 
 namespace {

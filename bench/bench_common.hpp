@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "uavdc/core/incremental_scorer.hpp"
 #include "uavdc/core/planner.hpp"
 #include "uavdc/model/instance.hpp"
 #include "uavdc/util/flags.hpp"
@@ -36,22 +35,16 @@ struct BenchSettings {
     int replicates{5};     ///< instances per sweep point
     std::uint64_t seed{1}; ///< base seed; replicate i uses seed + i
     std::string out_dir;   ///< CSV output directory ("" = no CSV)
-    /// Scoring engine for the scoring-aware planners (alg2/alg3 and the
-    /// benchmark planner). `--scoring=incremental-fast` runs the figure
-    /// sweep on the epsilon tier (reassociated 8-lane gain sums); its drift
-    /// against the default tier is characterized at full scale by
-    /// `uavdc conformance --fast-scoring`.
-    core::ScoringEngine scoring{core::ScoringEngine::kIncremental};
 
-    /// Parse --full / --replicates / --seed / --out / --scoring flags
+    /// Parse --full / --replicates / --seed / --out flags
     /// (UAVDC_FULL=1 also enables full mode).
     static BenchSettings parse(int argc, char** argv);
 };
 
 /// Robust timing aggregates over benchmark repetitions. `min_s` is the
 /// classical best-of (least noise-inflated); `median_s` is what
-/// scripts/check_perf_regression.py compares, since it tolerates a single
-/// interrupted rep without reading as a regression.
+/// scripts/perf_gate.py compares, since it tolerates a single interrupted
+/// rep without reading as a regression.
 struct TimingStats {
     double min_s{0.0};
     double median_s{0.0};
@@ -109,9 +102,6 @@ struct AlgoParams {
     double delta_m{10.0};
     int max_candidates{1200};
     int grasp_iterations{6};
-    /// Engine for the scoring-aware planners (copied from
-    /// BenchSettings::scoring by default_algo_params; alg1/GRASP ignores it).
-    core::ScoringEngine scoring{core::ScoringEngine::kIncremental};
 };
 
 /// Mode defaults: fast mode trims the candidate cap and GRASP restarts.
@@ -121,8 +111,7 @@ struct AlgoParams {
 [[nodiscard]] PlannerFactory alg1_factory(const AlgoParams& p);
 [[nodiscard]] PlannerFactory alg2_factory(const AlgoParams& p);
 [[nodiscard]] PlannerFactory alg3_factory(const AlgoParams& p, int k);
-[[nodiscard]] PlannerFactory benchmark_factory(
-    core::ScoringEngine scoring = core::ScoringEngine::kIncremental);
+[[nodiscard]] PlannerFactory benchmark_factory();
 
 /// One row of the tracked planner perf baseline (BENCH_planners.json):
 /// the same seeded instance planned with the incremental scoring engine and
@@ -150,7 +139,7 @@ struct PlannerBaseline {
 [[nodiscard]] std::vector<PlannerBaseline> run_planner_baselines(bool quick);
 
 /// Serialize baselines to `path` as the uavdc-bench-planners-v1 JSON schema
-/// consumed by scripts/check_perf_regression.py.
+/// consumed by scripts/perf_gate.py.
 void write_planner_baselines(const std::string& path, bool quick,
                              const std::vector<PlannerBaseline>& rows);
 

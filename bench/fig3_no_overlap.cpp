@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     const std::vector<double> energies = bench::energy_sweep(settings);
 
     const std::vector<bench::PlannerFactory> algos{
-        bench::alg1_factory(params), bench::benchmark_factory(params.scoring)};
+        bench::alg1_factory(params), bench::benchmark_factory()};
     std::vector<std::string> algo_names;
     for (const auto& f : algos) algo_names.push_back(f()->name());
 

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
         params.delta_m = delta;
         const std::vector<bench::PlannerFactory> algos{
             bench::alg2_factory(params), bench::alg3_factory(params, 2),
-            bench::alg3_factory(params, 4), bench::benchmark_factory(params.scoring)};
+            bench::alg3_factory(params, 4), bench::benchmark_factory()};
         if (algo_names.empty()) {
             for (const auto& f : algos) algo_names.push_back(f()->name());
         }

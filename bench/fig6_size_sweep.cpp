@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
     const std::vector<bench::PlannerFactory> algos{
         bench::alg2_factory(params), bench::alg3_factory(params, 2),
-        bench::benchmark_factory(params.scoring)};
+        bench::benchmark_factory()};
     std::vector<std::string> algo_names;
     for (const auto& f : algos) algo_names.push_back(f()->name());
 

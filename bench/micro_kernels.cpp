@@ -3,8 +3,8 @@
 //
 // With --baseline_out=<path> the binary instead runs the tracked
 // batched-vs-scalar kernel cases and writes the uavdc-bench-kernels-v1
-// schema (add --quick for the CI smoke variant checked by
-// scripts/check_perf_regression.py). Each case times both forms and — for
+// schema (add --quick for the variant that scripts/perf_gate.py runs on base
+// and head). Each case times both forms and — for
 // the elementwise kernels — asserts the outputs are bit-identical, so the
 // perf baseline doubles as an equivalence check.
 

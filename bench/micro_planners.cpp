@@ -4,8 +4,8 @@
 //
 // With --baseline_out=<path> the binary instead runs the tracked
 // incremental-vs-reference scoring-engine cases and writes the
-// BENCH_planners.json schema (add --quick for the CI smoke variant checked
-// by scripts/check_perf_regression.py).
+// BENCH_planners.json schema (add --quick for the variant that
+// scripts/perf_gate.py runs on base and head).
 
 #include <benchmark/benchmark.h>
 

@@ -4,8 +4,8 @@
 // 500-device paper-default reference case.
 //
 // With --baseline_out=<path> the binary runs the tracked reduction cases
-// and writes the uavdc-bench-reduction-v1 schema (add --quick for the CI
-// smoke variant checked by scripts/check_perf_regression.py). Contexts are
+// and writes the uavdc-bench-reduction-v1 schema (add --quick for the
+// variant that scripts/perf_gate.py runs on base and head). Contexts are
 // warmed before timing — candidates, SoA mirrors, and the memoized
 // reduction are all pre-touched — so `plan_s` is planning time proper, the
 // steady-state cost a plan service pays per request.

@@ -44,6 +44,10 @@ requests = [
     ("fine_500", "alg2", instance(1000.0, many), 0.05),
     # A 1e7 x 1e7 m field: more cells than int cell ids address.
     ("vast", "alg3", instance(1.0e7, [(5.0e6, 5.0e6)]), None),
+    # The sweep baseline's route over a 1e6 x 1e6 m field: 2.2e8 waypoints,
+    # over its bound; over a 1e5 m field, 2.2e6 waypoints, planned.
+    ("sweep_vast", "sweep", instance(1.0e6, [(5.0e5, 5.0e5)]), None),
+    ("sweep_wide", "sweep", instance(1.0e5, [(5.0e4, 5.0e4)]), None),
     # The service still plans a paper-scale instance afterwards.
     ("paper", "alg2", paper, None),
 ]
@@ -72,7 +76,8 @@ python3 - "$TMP/requests.jsonl" "$TMP/responses.jsonl" <<'EOF'
 import json, sys
 
 want = {"wide": "ok", "wide_alg1": "ok", "fine": "ok",
-        "fine_500": "bad_request", "vast": "bad_request", "paper": "ok"}
+        "fine_500": "bad_request", "vast": "bad_request",
+        "sweep_vast": "bad_request", "sweep_wide": "ok", "paper": "ok"}
 requests = [json.loads(line) for line in open(sys.argv[1])]
 lines = open(sys.argv[2]).read().splitlines()
 assert len(lines) == len(requests), (len(lines), len(requests))

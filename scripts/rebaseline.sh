@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
-# Regenerate every checked-in benchmark baseline (bench/BENCH_*.json) in one
-# command.
+# Regenerate the full-mode benchmark baselines that EXPERIMENTS.md cites
+# (bench/BENCH_{planners,kernels,reduction}.json) in one command.
 #
 #   scripts/rebaseline.sh [build-dir]
 #
-# Runs the four tracked --baseline_out binaries (micro_planners,
-# micro_service, micro_kernels, micro_reduction) twice each: once in quick
-# mode to refresh the CI smoke baselines (BENCH_*_quick.json, gated by
-# scripts/check_perf_regression.py) and once at full scale to refresh the
-# tracked full-mode numbers (BENCH_*.json). Run this on a quiet machine
+# Runs the three tracked --baseline_out binaries (micro_planners,
+# micro_kernels, micro_reduction) at full scale. Run this on a quiet machine
 # after an intentional perf change, eyeball the diff, and commit the JSON
-# alongside the change — the gate compares per-case runtime *shares*, so
-# absolute machine speed does not need to match CI's.
+# alongside the change. These files are a record, not a gate: a perf change
+# is judged by `scripts/perf_gate.py <parent>`, base against head on one
+# machine.
 #
 # The build dir must be an existing Release configuration (the default
 # `cmake -S . -B build -DCMAKE_BUILD_TYPE=Release && cmake --build build`).
@@ -27,20 +25,14 @@ if [ ! -d "$build_dir/bench" ]; then
     exit 1
 fi
 
-tools=(micro_planners micro_service micro_kernels micro_reduction)
-names=(planners service kernels reduction)
-
-for i in "${!tools[@]}"; do
-    tool="$build_dir/bench/${tools[$i]}"
-    name="${names[$i]}"
+for name in planners kernels reduction; do
+    tool="$build_dir/bench/micro_$name"
     if [ ! -x "$tool" ]; then
         echo "rebaseline.sh: $tool not built" >&2
         exit 1
     fi
-    echo "== ${tools[$i]} (quick) =="
-    "$tool" --baseline_out="bench/BENCH_${name}_quick.json" --quick
-    echo "== ${tools[$i]} (full) =="
+    echo "== micro_$name (full) =="
     "$tool" --baseline_out="bench/BENCH_${name}.json"
 done
 
-echo "rebaselined: bench/BENCH_{planners,service,kernels,reduction}{_quick,}.json"
+echo "rebaselined: bench/BENCH_{planners,kernels,reduction}.json"

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 
+#include "uavdc/core/hover_candidates.hpp"
 #include "uavdc/core/planning_context.hpp"
 #include "uavdc/core/tour_builder.hpp"
 #include "uavdc/geom/coverage.hpp"
@@ -115,6 +118,20 @@ PlanResult SweepPlanner::plan(const PlanningContext& ctx) {
     const double dy = std::max(1.0, lattice * cfg_.row_overlap);
     const double dx = std::max(1.0, lattice * cfg_.along_overlap);
     const auto& region = inst.region;
+
+    // Admission, before anything is allocated: the loops below make one
+    // waypoint per row and column step, counted in double so that a vast
+    // region cannot wrap the count.
+    const double waypoints =
+        std::ceil(region.height() / dy) * std::ceil(region.width() / dx);
+    if (!(waypoints <= static_cast<double>(kMaxSweepWaypoints))) {
+        std::ostringstream msg;
+        msg.precision(15);
+        msg << "sweep: a " << region.width() << " x " << region.height()
+            << " m region at a " << dx << " m step needs " << waypoints
+            << " waypoints, over the " << kMaxSweepWaypoints << " limit";
+        throw std::invalid_argument(msg.str());
+    }
 
     // Serpentine waypoints over the whole region. Starting half a lattice
     // step inside the region keeps every boundary device within range of

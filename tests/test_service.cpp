@@ -606,6 +606,38 @@ TEST(Service, HostileGridsAnswerOkOrBadRequestNeverInternalError) {
     EXPECT_EQ(svc.stats().internal_errors, 0u);
 }
 
+TEST(Service, VastSweepIsRefusedBeforeItAllocates) {
+    // The sweep baseline's route grows with the field's area. A one-device
+    // 1e6 x 1e6 m field needs about 2.2e8 waypoints, several GB, and is
+    // refused with the figure; a 1e5 m field (2.2e6 waypoints) still plans.
+    const auto vast =
+        uavdc::testing::manual_instance({{{5.0e5, 5.0e5}, 100.0}}, 1.0e6);
+    const auto wide =
+        uavdc::testing::manual_instance({{{5.0e4, 5.0e4}, 100.0}}, 1.0e5);
+    PlanService::Config cfg;
+    cfg.workers = 1;
+    PlanService svc(cfg);
+    std::mutex mu;
+    std::map<std::string, PlanResponse> got;
+    for (auto [id, inst] : {std::pair{"vast", &vast}, {"wide", &wide}}) {
+        svc.submit(make_request(id, "sweep", *inst), [&](PlanResponse resp) {
+            std::lock_guard lock(mu);
+            got[resp.id] = std::move(resp);
+        });
+    }
+    svc.drain();
+
+    const PlanResponse& refused = got.at("vast");
+    EXPECT_EQ(refused.status, ResponseStatus::kBadRequest) << refused.error;
+    EXPECT_NE(refused.error.find("waypoints"), std::string::npos)
+        << refused.error;
+    EXPECT_NE(refused.error.find("limit"), std::string::npos)
+        << refused.error;
+    EXPECT_EQ(got.at("wide").status, ResponseStatus::kOk)
+        << got.at("wide").error;
+    EXPECT_EQ(svc.stats().internal_errors, 0u);
+}
+
 TEST(Service, ThrowingCallbackDoesNotWedgeDrain) {
     const auto inst = uavdc::testing::small_instance(10, 160.0, 86);
     PlanService::Config cfg;
