@@ -81,8 +81,6 @@ class GreedyCoveragePlanner final : public Planner {
   private:
     [[nodiscard]] PlanResult plan_reference(const PlanningContext& ctx,
                                             const CandidateView& view);
-    [[nodiscard]] PlanResult plan_incremental(const PlanningContext& ctx,
-                                              const CandidateView& view);
 
     Algorithm2Config cfg_;
 };

@@ -63,8 +63,6 @@ class PartialCollectionPlanner final : public Planner {
   private:
     [[nodiscard]] PlanResult plan_reference(const PlanningContext& ctx,
                                             const CandidateView& view);
-    [[nodiscard]] PlanResult plan_incremental(const PlanningContext& ctx,
-                                              const CandidateView& view);
 
     Algorithm3Config cfg_;
 };

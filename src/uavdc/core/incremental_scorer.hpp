@@ -13,14 +13,18 @@
 
 namespace uavdc::core {
 
-/// Which scoring engine a greedy planner runs. kIncremental and kReference
-/// must produce bit-identical plans; the reference engine is retained as the
-/// equivalence oracle (tests/test_incremental_scorer.cpp) and as a fallback.
-/// kIncrementalFast additionally reassociates the coverage-gain sums into
-/// fixed 8-lane partials (kernels::*_fast) — deterministic on every
-/// compiler/ISA but only epsilon-equal to the oracle; it is opt-in and
-/// validated by the epsilon tier of `uavdc conformance` (tolerances in
-/// DESIGN.md "Memory layout & vectorization").
+/// Which scoring engine a greedy planner (alg2, alg3, benchmark) runs.
+/// kIncremental and kReference must produce bit-identical plans; the
+/// reference engine is the from-scratch oracle the equivalence suite
+/// (tests/test_incremental_scorer.cpp) compares against. For Algorithms 2
+/// and 3, kIncremental is one lazy-greedy loop (core/lazy_greedy.hpp) run
+/// over each planner's gain policy. kIncrementalFast additionally
+/// reassociates those policies' coverage-gain sums into fixed 8-lane
+/// partials (kernels::*_fast) — deterministic on every compiler/ISA but
+/// only epsilon-equal to the oracle; it is opt-in and validated by the
+/// epsilon tier of `uavdc conformance` (tolerances in DESIGN.md "Memory
+/// layout & vectorization"). The benchmark planner has no gain sums and
+/// runs kIncrementalFast as kIncremental.
 enum class ScoringEngine {
     kIncremental,      ///< lazy-greedy heap + inverted index + insertion cache
     kReference,        ///< from-scratch rescan of every candidate per iteration

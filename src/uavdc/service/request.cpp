@@ -1,5 +1,7 @@
 #include "uavdc/service/request.hpp"
 
+#include <iomanip>
+#include <sstream>
 #include <stdexcept>
 
 #include "uavdc/io/serialize.hpp"
@@ -34,6 +36,18 @@ int int_field(const io::Json& obj, const std::string& key) {
     UAVDC_REQUIRE(v >= -2147483648.0 && v <= 2147483647.0)
         << "request field '" << key << "' out of int range: " << v;
     return static_cast<int>(v);
+}
+
+int bounded_int_field(const io::Json& obj, const std::string& key, int lo,
+                      int hi) {
+    const double v = obj.at(key).as_number();
+    if (!(v >= lo && v <= hi)) {
+        std::ostringstream msg;
+        msg << std::setprecision(17) << "'" << key << "' must be in [" << lo
+            << ", " << hi << "], got " << v;
+        bad(msg.str());
+    }
+    return int_field(obj, key);
 }
 
 }  // namespace
@@ -134,10 +148,12 @@ PlanRequest request_from_json(const io::Json& doc) {
         if (opts.contains("max_candidates")) {
             req.overrides.max_candidates = int_field(opts, "max_candidates");
         }
-        if (opts.contains("k")) req.overrides.k = int_field(opts, "k");
+        if (opts.contains("k")) {
+            req.overrides.k = bounded_int_field(opts, "k", 1, kMaxPartialK);
+        }
         if (opts.contains("grasp_iterations")) {
-            req.overrides.grasp_iterations =
-                int_field(opts, "grasp_iterations");
+            req.overrides.grasp_iterations = bounded_int_field(
+                opts, "grasp_iterations", 0, kMaxGraspIterations);
         }
         if (opts.contains("scoring")) {
             req.overrides.scoring =

@@ -12,6 +12,14 @@
 
 namespace uavdc::service {
 
+/// Admission bounds on the two per-request work multipliers: Algorithm 3's
+/// sojourn partitions `k` and Algorithm 1's GRASP restarts. Plan time is
+/// linear in each, so a request outside [1, kMaxPartialK] or
+/// [0, kMaxGraspIterations] is answered `bad_request` (DESIGN.md,
+/// "Admission bound"). Bounds, not options.
+inline constexpr int kMaxPartialK = 64;
+inline constexpr int kMaxGraspIterations = 256;
+
 /// Per-request overrides of the service's default `core::PlannerOptions`.
 /// Absent fields inherit the service default, so a request only carries
 /// what it changes (the resolved options feed the response-cache key).

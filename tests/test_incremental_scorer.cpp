@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <memory_resource>
 #include <string>
 #include <utility>
@@ -233,6 +234,146 @@ TEST(IncrementalEquivalence, Algorithm3MatchesReferenceAcrossInstances) {
         expect_identical(results[0], results[1], tag + " ref serial/par");
         expect_identical(results[0], results[2], tag + " ref vs inc serial");
         expect_identical(results[0], results[3], tag + " ref vs inc par");
+        if (::testing::Test::HasFailure()) break;
+    }
+}
+
+// --- Edges of the shared lazy-greedy loop: degenerate instances,
+// --- reduced and refine views, and paper-scale candidate sets at the
+// --- served parallel threshold. Every case is incremental vs reference,
+// --- bit-identical, for each of `thresholds` (0 = serial, 1 = forced
+// --- parallel).
+
+template <typename Planner, typename Config>
+void expect_engines_agree(const PlanningContext& ctx, Config cfg,
+                          const std::string& tag,
+                          std::initializer_list<int> thresholds = {0, 1}) {
+    cfg.scoring = ScoringEngine::kReference;
+    cfg.parallel_threshold = 0;
+    const PlanResult ref = Planner(cfg).plan(ctx);
+    for (const int threshold : thresholds) {
+        for (const auto engine :
+             {ScoringEngine::kReference, ScoringEngine::kIncremental}) {
+            cfg.scoring = engine;
+            cfg.parallel_threshold = threshold;
+            expect_identical(ref, Planner(cfg).plan(ctx),
+                             tag + " " + core::to_string(engine) +
+                                 " threshold " + std::to_string(threshold));
+        }
+    }
+}
+
+void expect_both_planners_agree(const PlanningContext& ctx,
+                                const core::HoverCandidateConfig& hover,
+                                const std::string& tag) {
+    Algorithm2Config cfg2;
+    cfg2.candidates = hover;
+    for (const int retour : {8, 1, 0}) {
+        cfg2.retour_every = retour;
+        expect_engines_agree<GreedyCoveragePlanner>(
+            ctx, cfg2, tag + " alg2 retour " + std::to_string(retour));
+    }
+    Algorithm3Config cfg3;
+    cfg3.candidates = hover;
+    for (const int k : {1, 2, 4}) {
+        cfg3.k = k;
+        expect_engines_agree<PartialCollectionPlanner>(
+            ctx, cfg3, tag + " alg3 k " + std::to_string(k));
+    }
+}
+
+TEST(IncrementalEquivalence, DegenerateInstancesMatchReference) {
+    using uavdc::testing::manual_instance;
+    std::vector<std::pair<std::string, model::Instance>> cases;
+    cases.emplace_back("no devices", manual_instance({}));
+    cases.emplace_back("one device", manual_instance({{{60.0, 80.0}, 400.0}}));
+    std::vector<std::pair<geom::Vec2, double>> stacked;
+    for (int i = 0; i < 12; ++i) {
+        stacked.push_back({{90.0, 110.0}, 50.0 + 75.0 * i});
+    }
+    cases.emplace_back("coincident devices", manual_instance(stacked));
+    auto drained = uavdc::testing::small_instance(30, 250.0, 41);
+    for (auto& d : drained.devices) d.data_mb = 0.0;
+    cases.emplace_back("all data_mb = 0", drained);
+    auto grounded = uavdc::testing::small_instance(30, 250.0, 42);
+    grounded.uav.energy_j = 0.0;
+    cases.emplace_back("zero battery", grounded);
+
+    for (const auto& [name, inst] : cases) {
+        core::HoverCandidateConfig hover;
+        hover.delta_m = 10.0;
+        const auto ctx = PlanningContext::build(inst, hover);
+        expect_both_planners_agree(*ctx, hover, name);
+        if (::testing::Test::HasFailure()) break;
+    }
+    // Coincident devices still plan one stop; the others plan nothing.
+    Algorithm3Config cfg3;
+    cfg3.candidates.delta_m = 10.0;
+    const auto stacked_ctx =
+        PlanningContext::build(cases[2].second, cfg3.candidates);
+    EXPECT_FALSE(PartialCollectionPlanner(cfg3).plan(*stacked_ctx)
+                     .plan.stops.empty());
+    for (const std::size_t i : {0u, 3u, 4u}) {
+        const auto ctx = PlanningContext::build(cases[i].second,
+                                                cfg3.candidates);
+        EXPECT_TRUE(PartialCollectionPlanner(cfg3).plan(*ctx).plan.stops
+                        .empty())
+            << cases[i].first;
+    }
+}
+
+TEST(IncrementalEquivalence, ReducedAndRefineViewsMatchReference) {
+    util::Rng rng(4711);
+    int refined = 0;
+    for (int trial = 0; trial < 16; ++trial) {
+        const auto inst = fuzz_instance(rng, 20, 60);
+        const core::HoverCandidateConfig hover = hover_cfg(inst);
+        const auto ctx = PlanningContext::build(inst, hover);
+        core::CandidateReductionConfig reduction;
+        reduction.dominance = true;
+        reduction.coarsen_factor = 2 + trial % 2;
+        reduction.refine_band_m = trial % 4 == 3 ? 0.0 : 2.0 * hover.delta_m;
+        reduction.consolidate_to = trial % 3 == 0 ? 12 : 0;
+        if (reduction.refine_band_m > 0.0) ++refined;
+
+        const std::string tag = "reduced trial " + std::to_string(trial);
+        Algorithm2Config cfg2;
+        cfg2.candidates = hover;
+        cfg2.reduction = reduction;
+        cfg2.retour_every = trial % 2 == 0 ? 8 : 1;
+        expect_engines_agree<GreedyCoveragePlanner>(*ctx, cfg2,
+                                                    tag + " alg2");
+        Algorithm3Config cfg3;
+        cfg3.candidates = hover;
+        cfg3.reduction = reduction;
+        cfg3.k = 1 + trial % 3;
+        expect_engines_agree<PartialCollectionPlanner>(*ctx, cfg3,
+                                                       tag + " alg3");
+        if (::testing::Test::HasFailure()) break;
+    }
+    EXPECT_GT(refined, 0);
+}
+
+TEST(IncrementalEquivalence, PaperInstancesAtServedThresholdMatchReference) {
+    // 300-500 devices in the paper's 1000 x 1000 m field give thousands of
+    // candidates, so the served threshold of 512 takes the parallel paths.
+    for (const int devices : {300, 400, 500}) {
+        workload::GeneratorConfig g = workload::paper_default();
+        g.num_devices = devices;
+        const auto inst = workload::generate(g, 900 + devices);
+        const core::HoverCandidateConfig hover;
+        const auto ctx = PlanningContext::build(inst, hover);
+        ASSERT_GE(ctx->candidates().size(), 512u);
+        const std::string tag = std::to_string(devices) + " devices";
+        Algorithm2Config cfg2;
+        cfg2.candidates = hover;
+        expect_engines_agree<GreedyCoveragePlanner>(*ctx, cfg2,
+                                                    tag + " alg2", {0, 512});
+        Algorithm3Config cfg3;
+        cfg3.candidates = hover;
+        cfg3.k = devices / 100 - 1;
+        expect_engines_agree<PartialCollectionPlanner>(
+            *ctx, cfg3, tag + " alg3", {0, 512});
         if (::testing::Test::HasFailure()) break;
     }
 }

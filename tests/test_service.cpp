@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "uavdc/core/planning_context.hpp"
@@ -923,6 +925,67 @@ TEST(ServiceJsonl, DrainVerbIsABarrier) {
     EXPECT_EQ(docs[0].string_or("id", ""), "before-drain");
     EXPECT_EQ(docs[1].string_or("id", ""), "the-drain");
     EXPECT_EQ(docs[1].at("stats").number_or("completed", -1.0), 1.0);
+}
+
+TEST(Service, OutOfRangeWorkMultipliersAreBadRequests) {
+    // Alg. 3's k and Alg. 1's GRASP restarts multiply a plan's work
+    // linearly. Out-of-range values are refused at parse time, naming the
+    // field and its bound; k = 0 used to reach the planner's contract check
+    // and come back as internal_error.
+    const auto inst = uavdc::testing::small_instance(12, 180.0, 93);
+    struct Probe {
+        const char* planner;
+        const char* field;
+        double value;
+        int bound;
+    };
+    const Probe hostile[] = {
+        {"alg3", "k", 0.0, kMaxPartialK},
+        {"alg3", "k", -3.0, kMaxPartialK},
+        {"alg3", "k", 2.0e6, kMaxPartialK},
+        {"alg1", "grasp_iterations", 2.0e4, kMaxGraspIterations},
+        {"alg1", "grasp_iterations", -1.0, kMaxGraspIterations},
+    };
+    std::ostringstream input;
+    for (std::size_t i = 0; i < std::size(hostile); ++i) {
+        io::Json req = to_json(make_request("h" + std::to_string(i),
+                                            hostile[i].planner, inst));
+        req["options"][hostile[i].field] = hostile[i].value;
+        input << req.dump() << "\n";
+    }
+    for (const auto& [id, planner, field, value] :
+         {std::tuple{"ok-k", "alg3", "k", kMaxPartialK},
+          std::tuple{"ok-grasp", "alg1", "grasp_iterations", 3}}) {
+        io::Json req = to_json(make_request(id, planner, inst));
+        req["options"][field] = value;
+        input << req.dump() << "\n";
+    }
+
+    JsonlConfig cfg;
+    cfg.service.workers = 1;
+    cfg.service.defaults = fast_options();
+    std::istringstream in(input.str());
+    std::ostringstream out;
+    const JsonlSummary summary = serve_jsonl(in, out, cfg);
+
+    std::map<std::string, io::Json> got;
+    for (auto& doc : parse_lines(out.str())) {
+        got[doc.string_or("id", "")] = std::move(doc);
+    }
+    for (std::size_t i = 0; i < std::size(hostile); ++i) {
+        const io::Json& resp = got.at("h" + std::to_string(i));
+        const std::string error = resp.string_or("error", "");
+        EXPECT_EQ(resp.string_or("status", ""), "bad_request") << error;
+        EXPECT_NE(error.find(std::string("'") + hostile[i].field + "'"),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find(std::to_string(hostile[i].bound)),
+                  std::string::npos)
+            << error;
+    }
+    EXPECT_EQ(got.at("ok-k").string_or("status", ""), "ok");
+    EXPECT_EQ(got.at("ok-grasp").string_or("status", ""), "ok");
+    EXPECT_EQ(summary.stats.internal_errors, 0u);
 }
 
 TEST(Service, ResponseLineMatchesJsonDump) {

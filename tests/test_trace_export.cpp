@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "test_util.hpp"
-#include "uavdc/core/multi_tour.hpp"
 
 namespace uavdc::io {
 namespace {
@@ -60,31 +59,3 @@ TEST(TraceExport, ReportFileRoundTrips) {
 
 }  // namespace
 }  // namespace uavdc::io
-
-namespace uavdc::core {
-namespace {
-
-TEST(MultiTourMakespan, AccountsForRechargeTime) {
-    auto inst = testing::small_instance(30, 300.0, 61);
-    inst.uav.energy_j = 3.5e4;
-    MultiTourConfig cfg;
-    cfg.tours = 3;
-    cfg.inner.candidates.delta_m = 20.0;
-    cfg.recharge_s = 600.0;
-    const auto with = plan_multi_tour(inst, cfg);
-    cfg.recharge_s = 0.0;
-    const auto without = plan_multi_tour(inst, cfg);
-    ASSERT_EQ(with.sorties_used, without.sorties_used);
-    ASSERT_GT(with.sorties_used, 1);
-    EXPECT_NEAR(with.makespan_s - without.makespan_s,
-                600.0 * (with.sorties_used - 1), 1e-6);
-    // Makespan at least the sum of tour times.
-    double tour_time = 0.0;
-    for (const auto& t : without.tours) {
-        tour_time += t.energy(inst.depot, inst.uav).total_s();
-    }
-    EXPECT_NEAR(without.makespan_s, tour_time, 1e-6);
-}
-
-}  // namespace
-}  // namespace uavdc::core
