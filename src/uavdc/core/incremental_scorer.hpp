@@ -122,12 +122,13 @@ class LazyGreedyQueue {
     /// no longer lexicographically beat the best evaluated candidate.
     ///
     /// `exact_keys` selects the re-enqueue policy:
-    ///  - true (policy A): keys ARE exact scores; an unselectable pop is
-    ///    dropped from the heap — valid only when unselectability is
-    ///    monotone until the next `update()` of that candidate (Alg. 2's
-    ///    energy/deadline feasibility between re-tours).
-    ///  - false (policy B): keys are upper bounds; every evaluated,
-    ///    non-picked candidate is re-enqueued under its current key.
+    ///  - true (policy A): an unselectable pop is dropped from the heap —
+    ///    valid only when unselectability is monotone until the next
+    ///    `update()` of that candidate (energy/deadline feasibility between
+    ///    re-keys: Alg. 2's exact-score keys and Alg. 3's upper bounds).
+    ///  - false (policy B): every evaluated, non-picked candidate is
+    ///    re-enqueued under its current key (Alg. 2's `exact_ratio_tsp`
+    ///    bounds).
     template <typename Eval>
     Pick pop_best(bool exact_keys, Eval&& eval) {
         Pick best;

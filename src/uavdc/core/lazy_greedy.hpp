@@ -2,7 +2,7 @@
 
 // The lazy-greedy insertion loop behind the incremental engines of
 // Algorithms 2 and 3. Internal to core/algorithm2.cpp and
-// core/algorithm3.cpp; each supplies its gain state as a policy.
+// core/partial_policy.hpp; each supplies its gain state as a policy.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,8 +1,12 @@
 #include "uavdc/io/json.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +17,31 @@ namespace {
 
 [[noreturn]] void type_error(const char* want) {
     throw std::runtime_error(std::string("Json: value is not ") + want);
+}
+
+/// Parse [first, last), consumed whole, as strtod would: the same accept
+/// set and bit-equal values, without copying the token. from_chars reads
+/// strtod's grammar without its leading '+', and returns subnormals that
+/// strtod calls out of range (ERANGE for any inexact result that is tiny
+/// after rounding, which a from_chars result of exactly DBL_MIN can also
+/// be). So outside the normal range, and on overflow and underflow, strtod
+/// itself decides.
+bool parse_double(const char* first, const char* last, double& out) {
+    const char* digits = first;
+    if (digits != last && *digits == '+') {
+        ++digits;
+        if (digits != last && (*digits == '+' || *digits == '-')) return false;
+    }
+    const auto [end, ec] = std::from_chars(digits, last, out);
+    if (end != last || ec == std::errc::invalid_argument) return false;
+    if (ec == std::errc{} && (out == 0.0 || std::abs(out) > DBL_MIN)) {
+        return true;
+    }
+    const std::string token(first, last);
+    char* stop = nullptr;
+    errno = 0;
+    out = std::strtod(token.c_str(), &stop);
+    return errno != ERANGE && stop == token.c_str() + token.size();
 }
 
 /// Recursive-descent parser over a string view with offset tracking.
@@ -225,14 +254,11 @@ class Parser {
             ++pos_;
         }
         if (pos_ == start) fail("expected a value");
-        try {
-            std::size_t used = 0;
-            const double v = std::stod(s_.substr(start, pos_ - start), &used);
-            if (used != pos_ - start) fail("bad number");
-            return Json(v);
-        } catch (const std::exception&) {
+        double v = 0.0;
+        if (!parse_double(s_.data() + start, s_.data() + pos_, v)) {
             fail("bad number");
         }
+        return Json(v);
     }
 
     const std::string& s_;
@@ -278,16 +304,18 @@ void escape_string(std::string& out, const std::string& s) {
     out += '"';
 }
 
+/// The bytes of printf's "%.0f" for integers below 1e15 and "%.17g"
+/// otherwise (inf and nan included), without the format-string parse.
 void dump_number(std::string& out, double d) {
-    if (std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", d);
-        out += buf;
-        return;
-    }
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
+    const bool integral =
+        std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15;
+    const std::to_chars_result r =
+        integral ? std::to_chars(buf, buf + sizeof(buf), d,
+                                 std::chars_format::fixed, 0)
+                 : std::to_chars(buf, buf + sizeof(buf), d,
+                                 std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 }  // namespace

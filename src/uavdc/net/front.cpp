@@ -115,8 +115,8 @@ void Front::dispatch(Conn& c, const Frame& f, bool shed) {
                f.length_prefixed);
         return;
     }
-    const std::string id = doc.is_object() ? doc.string_or("id", "") : "";
-    const std::string op = doc.is_object() ? doc.string_or("op", "") : "";
+    const std::string id = service::envelope_string(doc, "id");
+    const std::string op = service::envelope_string(doc, "op");
     if (op == "stats") {
         control_reply(c, id, "stats", f.length_prefixed);
         return;
@@ -135,7 +135,7 @@ void Front::dispatch(Conn& c, const Frame& f, bool shed) {
                f.length_prefixed);
         return;
     }
-    if (role_.request(c.id, doc, id, f.length_prefixed, shed)) {
+    if (role_.request(c.id, f, doc, id, shed)) {
         ++c.submitted;
         ++t_.requests;
     }

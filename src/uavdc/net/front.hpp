@@ -64,12 +64,14 @@ class Front {
 
     class Role {
       public:
-        /// One plan request: `doc` is the parsed frame (no `"op"`), `id` its
-        /// id. Return true to accept it — the role then owes exactly one
-        /// `deliver` for it. Otherwise answer it now through `answer`:
-        /// `bad_request`, or `shutdown` when `shed` (the front is draining).
-        virtual bool request(ConnId conn, io::Json& doc, const std::string& id,
-                             bool length_prefixed, bool shed) = 0;
+        /// One plan request: `frame` as received, `doc` its payload parsed
+        /// (no `"op"`), `id` its id. Return true to accept it — the role
+        /// then owes exactly one `deliver` for it, framed as `frame` was.
+        /// Otherwise answer it now through `answer`: `bad_request`, or
+        /// `shutdown` when `shed` (the front is draining).
+        virtual bool request(ConnId conn, const Frame& frame,
+                             const io::Json& doc, const std::string& id,
+                             bool shed) = 0;
         /// Body of a `stats`/`drain` reply; the front adds `"transport"`.
         [[nodiscard]] virtual io::Json stats() = 0;
         /// Once per loop iteration, before the poll set is built.

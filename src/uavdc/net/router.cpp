@@ -19,6 +19,30 @@ namespace {
 
 constexpr std::size_t kReadChunk = 64u * 1024;
 
+bool is_json_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+/// The client's request bytes with `"id":"<tag>"` appended as the last
+/// member of the top-level object, which `payload` must hold (non-empty:
+/// only requests with an `id` are forwarded). Json::parse keeps the last
+/// of repeated keys, so the shard reads the tag whatever ids the client
+/// sent, and the request is never decoded into a document and encoded
+/// again on its way through.
+std::string tag_request(const std::string& payload, const std::string& tag) {
+    std::size_t close = payload.size();
+    while (close > 0 && is_json_space(payload[close - 1])) --close;
+    UAVDC_DCHECK(close > 0 && payload[close - 1] == '}');
+    --close;
+    std::string out;
+    out.reserve(payload.size() + tag.size() + 16);
+    out.append(payload, 0, close);
+    out += ",\"id\":";
+    io::Json::dump_string(out, tag);
+    out.append(payload, close);
+    return out;
+}
+
 /// One forwarded-but-unanswered request. Entries leave the table only when
 /// their response is handed to the client (or the client is gone), which is
 /// exactly the exactly-once bookkeeping the resend path relies on.
@@ -43,10 +67,10 @@ struct Upstream {
     explicit Upstream(std::size_t max_frame) : decoder(max_frame) {}
 };
 
-/// The router role: plan requests are tagged `seq#id` and forwarded to a
-/// shard upstream; shard responses are de-tagged and delivered. Its own
-/// poll descriptors are the shard sockets and the managed children's
-/// stdout pipes.
+/// The router role: plan requests are tagged `seq#id` and forwarded, as the
+/// client's bytes, to a shard upstream; shard responses are de-tagged and
+/// delivered. Its own poll descriptors are the shard sockets and the
+/// managed children's stdout pipes.
 class RouteRole final : public Front::Role {
   public:
     explicit RouteRole(const RouterConfig& cfg)
@@ -95,11 +119,14 @@ class RouteRole final : public Front::Role {
         return clean;
     }
 
-    bool request(Front::ConnId conn, io::Json& doc, const std::string& id,
-                 bool length_prefixed, bool shed) override {
-        if (!doc.is_object()) {
+    bool request(Front::ConnId conn, const Frame& frame, const io::Json& doc,
+                 const std::string& id, bool shed) override {
+        const bool length_prefixed = frame.length_prefixed;
+        try {
+            service::check_request_envelope(doc);
+        } catch (const std::exception& ex) {
             front_.answer(conn, id, service::ResponseStatus::kBadRequest,
-                          "request must be a JSON object", length_prefixed);
+                          ex.what(), length_prefixed);
             return false;
         }
         if (shed) {
@@ -110,13 +137,14 @@ class RouteRole final : public Front::Role {
         }
         const std::size_t shard = shard_of(doc);
         const std::uint64_t seq = next_seq_++;
-        doc["id"] = std::to_string(seq) + "#" + id;
         PendingReq p;
         p.client_id = conn;
         p.id = id;
         p.shard = shard;
         p.client_lp = length_prefixed;
-        p.wire = encode_frame(doc.dump(), /*length_prefixed=*/true);
+        p.wire = encode_frame(
+            tag_request(frame.payload, std::to_string(seq) + "#" + id),
+            /*length_prefixed=*/true);
         if (shards_[shard]->up) {
             shards_[shard]->outbuf += p.wire;
             p.sent = true;

@@ -31,10 +31,11 @@ struct RouterConfig : FrontConfig {
 /// Each client plan request is hashed to a shard by *instance fingerprint*
 /// (`instance_ref` directly; inline instances by content hash), so every
 /// request for one instance lands on the shard whose registry,
-/// `PlanningContext` LRU, and response cache are warm for it. Requests are
-/// re-tagged (`"<seq>#<original-id>"`) before forwarding so concurrent
-/// clients with colliding ids stay distinguishable, and de-tagged on the
-/// way back.
+/// `PlanningContext` LRU, and response cache are warm for it. A request is
+/// forwarded as the client's own bytes with `"id":"<seq>#<original-id>"`
+/// appended as its last member (the parser keeps the last of repeated
+/// keys), so concurrent clients with colliding ids stay distinguishable and
+/// no request is encoded again; responses are de-tagged on the way back.
 ///
 /// At-least-once upstream, exactly-once to the client: every forwarded
 /// request stays in a pending table until its response has been handed to

@@ -31,8 +31,9 @@ class ServeRole final : public Front::Role {
     Front& front() { return front_; }
     service::PlanService& svc() { return svc_; }
 
-    bool request(Front::ConnId conn, io::Json& doc, const std::string& id,
-                 bool length_prefixed, bool shed) override {
+    bool request(Front::ConnId conn, const Frame& frame, const io::Json& doc,
+                 const std::string& id, bool shed) override {
+        const bool length_prefixed = frame.length_prefixed;
         service::PlanRequest req;
         try {
             req = service::request_from_json(doc);

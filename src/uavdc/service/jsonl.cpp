@@ -70,13 +70,12 @@ JsonlSummary serve_jsonl(std::istream& in, std::ostream& out,
             continue;
         }
 
-        const std::string op =
-            doc.is_object() ? doc.string_or("op", "") : "";
+        const std::string op = envelope_string(doc, "op");
         if (op == "stats" || op == "drain") {
             ++summary.control;
             if (op == "drain") svc.drain();
             io::Json reply;
-            reply["id"] = doc.string_or("id", "");
+            reply["id"] = envelope_string(doc, "id");
             reply["op"] = op;
             reply["status"] = "ok";
             reply["stats"] = to_json(svc.stats());
@@ -86,7 +85,7 @@ JsonlSummary serve_jsonl(std::istream& in, std::ostream& out,
         if (!op.empty()) {
             ++summary.parse_errors;
             PlanResponse resp;
-            resp.id = doc.string_or("id", "");
+            resp.id = envelope_string(doc, "id");
             resp.status = ResponseStatus::kBadRequest;
             resp.error = "unknown op '" + op + "' (expected stats|drain)";
             write_response(resp);
@@ -99,7 +98,7 @@ JsonlSummary serve_jsonl(std::istream& in, std::ostream& out,
         } catch (const std::exception& ex) {
             ++summary.parse_errors;
             PlanResponse resp;
-            resp.id = doc.is_object() ? doc.string_or("id", "") : "";
+            resp.id = envelope_string(doc, "id");
             resp.status = ResponseStatus::kBadRequest;
             resp.error = ex.what();
             write_response(resp);

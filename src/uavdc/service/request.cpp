@@ -115,11 +115,20 @@ std::uint64_t fingerprint_from_hex(const std::string& hex) {
     return fp;
 }
 
-PlanRequest request_from_json(const io::Json& doc) {
+std::string envelope_string(const io::Json& doc, const std::string& key) {
+    if (!doc.contains(key) || !doc.at(key).is_string()) return "";
+    return doc.at(key).as_string();
+}
+
+void check_request_envelope(const io::Json& doc) {
     if (!doc.is_object()) bad("request must be a JSON object");
+    if (doc.string_or("id", "").empty()) bad("missing request 'id'");
+}
+
+PlanRequest request_from_json(const io::Json& doc) {
+    check_request_envelope(doc);
     PlanRequest req;
-    req.id = doc.string_or("id", "");
-    if (req.id.empty()) bad("missing request 'id'");
+    req.id = doc.at("id").as_string();
     req.planner = doc.string_or("planner", "");
     if (req.planner.empty()) bad("missing 'planner' name");
 

@@ -105,6 +105,16 @@ struct PlanResponse {
 /// Throws std::runtime_error (with field context) on malformed input — the
 /// transport maps that to a `bad_request` response.
 [[nodiscard]] PlanRequest request_from_json(const io::Json& doc);
+/// The checks `request_from_json` makes first, and throws from as it does:
+/// `doc` is an object with a non-empty `id`. The router makes them before
+/// it tags and forwards a request, so it answers one it cannot tag as the
+/// service would.
+void check_request_envelope(const io::Json& doc);
+/// `doc[key]` when `doc` is an object holding a string there, else "": how
+/// the transports read a frame's `id` and `op` before anything else is
+/// checked, so that a non-string value is answered, not thrown.
+[[nodiscard]] std::string envelope_string(const io::Json& doc,
+                                          const std::string& key);
 [[nodiscard]] io::Json to_json(const PlanRequest& req);
 
 [[nodiscard]] io::Json to_json(const PlanResponse& resp);

@@ -49,10 +49,16 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, F&& f,
     if (first_error) std::rethrow_exception(first_error);
 }
 
-/// Overload using the process-global pool.
+/// Overload using the process-global pool. It runs inline when the caller
+/// may run on one CPU only (a shard pinned to a core, say): the pool's
+/// threads would share that CPU, so fanning out would only add hand-offs.
 template <typename F>
 void parallel_for(std::size_t begin, std::size_t end, F&& f,
                   std::size_t min_chunk = 1) {
+    if (caller_has_one_cpu()) {
+        for (std::size_t i = begin; i < end; ++i) f(i);
+        return;
+    }
     parallel_for(global_pool(), begin, end, std::forward<F>(f), min_chunk);
 }
 
@@ -63,7 +69,7 @@ template <typename F>
 void maybe_parallel_for(bool parallel, std::size_t begin, std::size_t end,
                         F&& f, std::size_t min_chunk = 1) {
     if (parallel) {
-        parallel_for(global_pool(), begin, end, std::forward<F>(f), min_chunk);
+        parallel_for(begin, end, std::forward<F>(f), min_chunk);
         return;
     }
     for (std::size_t i = begin; i < end; ++i) f(i);

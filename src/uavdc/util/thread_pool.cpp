@@ -1,5 +1,7 @@
 #include "uavdc/util/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace uavdc::util {
@@ -66,6 +68,13 @@ bool ThreadPool::on_worker_thread() const {
 ThreadPool& global_pool() {
     static ThreadPool pool;
     return pool;
+}
+
+bool caller_has_one_cpu() {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0) return false;
+    return CPU_COUNT(&set) == 1;
 }
 
 }  // namespace uavdc::util

@@ -76,4 +76,9 @@ class ThreadPool {
 /// Process-wide shared pool (lazily constructed).
 ThreadPool& global_pool();
 
+/// True when the calling thread's CPU affinity allows one CPU only. Read at
+/// each call, so it follows the caller's current mask, not the one the
+/// pool was built under.
+[[nodiscard]] bool caller_has_one_cpu();
+
 }  // namespace uavdc::util

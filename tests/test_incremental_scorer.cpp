@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <initializer_list>
 #include <memory_resource>
 #include <string>
@@ -20,6 +21,7 @@
 #include "uavdc/core/algorithm3.hpp"
 #include "uavdc/core/benchmark_planner.hpp"
 #include "uavdc/core/incremental_scorer.hpp"
+#include "uavdc/core/partial_policy.hpp"
 #include "uavdc/core/planning_context.hpp"
 #include "uavdc/core/tour_builder.hpp"
 #include "uavdc/util/rng.hpp"
@@ -376,6 +378,105 @@ TEST(IncrementalEquivalence, PaperInstancesAtServedThresholdMatchReference) {
             *ctx, cfg3, tag + " alg3", {0, 512});
         if (::testing::Test::HasFailure()) break;
     }
+}
+
+// --- Alg. 3 drops an unselectable pop until its key is next updated
+// --- (policy A). That is sound only if such a candidate cannot become
+// --- selectable again before then. Replay the loop under policy B, which
+// --- evaluates every pop again, and watch for one that does.
+
+struct UnselectableWatch {
+    std::vector<char> unselectable;  ///< since the candidate's last key
+    std::size_t evals{0};
+    std::size_t repeat_evals{0};  ///< of unselectable ones: policy A's saving
+    std::size_t revived{0};       ///< repeats that came back selectable
+};
+UnselectableWatch* g_watch = nullptr;
+
+class WatchedPartialPolicy : public core::partial::PartialPolicy {
+  public:
+    using PartialPolicy::PartialPolicy;
+    static constexpr bool exact_keys = false;
+
+    [[nodiscard]] double key(std::size_t j) const {
+        g_watch->unselectable[j] = 0;
+        return PartialPolicy::key(j);
+    }
+
+    [[nodiscard]] std::pair<double, bool> eval(std::size_t j) {
+        const std::pair<double, bool> r = PartialPolicy::eval(j);
+        UnselectableWatch& w = *g_watch;
+        ++w.evals;
+        if (w.unselectable[j] != 0) {
+            ++w.repeat_evals;
+            if (r.second) ++w.revived;
+        }
+        if (!r.second) w.unselectable[j] = 1;
+        return r;
+    }
+};
+
+TEST(IncrementalEquivalence, Algorithm3UnselectableUntilRekeyed) {
+    UnselectableWatch watch;
+    g_watch = &watch;
+    auto replay = [&](const PlanningContext& ctx, Algorithm3Config cfg,
+                      const std::string& tag) {
+        const core::CandidateView view = ctx.full_view();
+        if (view.size() == 0) return;
+        cfg.scoring = ScoringEngine::kIncremental;
+        watch.unselectable.assign(view.size(), 0);
+        const std::size_t revived = watch.revived;
+        const PlanResult b =
+            core::lazy_greedy::run<WatchedPartialPolicy>(ctx, view, cfg);
+        EXPECT_EQ(watch.revived, revived) << tag;
+        expect_identical(PartialCollectionPlanner(cfg).plan_view(ctx, view),
+                         b, tag);
+    };
+
+    // Algorithm3MatchesReferenceAcrossInstances' instances and configs.
+    util::Rng rng(777);
+    constexpr int kRetours[] = {8, 1, 0};
+    for (int trial = 0; trial < 50; ++trial) {
+        const auto inst = fuzz_instance(rng, 6, 40);
+        const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
+        Algorithm3Config cfg;
+        cfg.candidates = hover_cfg(inst);
+        cfg.k = 1 + trial % 3;
+        cfg.retour_every = kRetours[trial % 3];
+        if (trial % 4 == 0) cfg.max_tour_time_s = 500.0;
+        replay(*ctx, cfg, "fuzz trial " + std::to_string(trial));
+    }
+    // Tight budgets, where most pops are infeasible.
+    for (int trial = 0; trial < 12; ++trial) {
+        auto inst = fuzz_instance(rng, 20, 60);
+        inst.uav.energy_j *= 0.2;
+        const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
+        Algorithm3Config cfg;
+        cfg.candidates = hover_cfg(inst);
+        cfg.k = 1 + trial % 4;
+        cfg.retour_every = kRetours[trial % 3];
+        if (trial % 2 == 0) cfg.max_tour_time_s = 150.0;
+        replay(*ctx, cfg, "tight trial " + std::to_string(trial));
+    }
+    // PaperInstancesAtServedThresholdMatchReference's instances.
+    for (const int devices : {300, 400, 500}) {
+        workload::GeneratorConfig g = workload::paper_default();
+        g.num_devices = devices;
+        const auto inst = workload::generate(g, 900 + devices);
+        const core::HoverCandidateConfig hover;
+        const auto ctx = PlanningContext::build(inst, hover);
+        Algorithm3Config cfg;
+        cfg.candidates = hover;
+        cfg.k = devices / 100 - 1;
+        replay(*ctx, cfg, std::to_string(devices) + " devices");
+    }
+    g_watch = nullptr;
+    EXPECT_EQ(watch.revived, 0u);
+    // The replay does reach the case policy A skips.
+    EXPECT_GT(watch.repeat_evals, 0u);
+    std::printf("alg3 replay: %zu evaluations, %zu of them repeats of an "
+                "unselectable candidate\n",
+                watch.evals, watch.repeat_evals);
 }
 
 // --- Benchmark (PruneTsp) prune loop.

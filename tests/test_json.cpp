@@ -50,6 +50,17 @@ TEST(Json, ParseErrors) {
     EXPECT_THROW(Json::parse("--1"), std::runtime_error);
 }
 
+// The router appends its tag as a last `id` member to a client's request
+// bytes: it relies on the parser keeping the last of repeated keys.
+TEST(Json, ParseKeepsLastOfRepeatedKeys) {
+    const Json v = Json::parse(
+        R"({"id":"a","x":{"k":1,"k":2},"id":"b","y":0,"id":"c"})");
+    EXPECT_EQ(v.as_object().size(), 3u);
+    EXPECT_EQ(v.at("id").as_string(), "c");
+    EXPECT_EQ(v.at("x").at("k").as_number(), 2.0);
+    EXPECT_EQ(Json::parse(R"({"id":"a","id":7})").at("id").as_number(), 7.0);
+}
+
 TEST(Json, TypeMismatchThrows) {
     const Json v = Json::parse("[1]");
     EXPECT_THROW((void)v.as_object(), std::runtime_error);

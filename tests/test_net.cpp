@@ -8,19 +8,23 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "uavdc/core/planning_context.hpp"
 #include "uavdc/io/json.hpp"
+#include "uavdc/io/serialize.hpp"
 #include "uavdc/net/frame.hpp"
 #include "uavdc/net/repository.hpp"
 #include "uavdc/net/router.hpp"
 #include "uavdc/net/signal.hpp"
 #include "uavdc/net/socket.hpp"
 #include "uavdc/net/tcp_server.hpp"
+#include "uavdc/service/jsonl.hpp"
 #include "uavdc/service/plan_service.hpp"
 #include "uavdc/service/request.hpp"
 
@@ -703,6 +707,218 @@ TEST(NetRouter, GracefulStopAnswersPendingOnDownShard) {
     EXPECT_EQ(res.transport.responses, 1u);
     EXPECT_EQ(res.transport.shed_on_shutdown, 0u);
     EXPECT_TRUE(res.clean_shutdown);
+}
+
+// ---------------------------------------------------------------------------
+// The router forwards the client's bytes with its tag appended as a last
+// `id` member. Whatever the payload's spelling, a response through the
+// router must match, byte for byte, the one the JSONL path gives the same
+// line (wall-clock timings aside).
+// ---------------------------------------------------------------------------
+
+std::string blank_timings(const std::string& response) {
+    static const std::regex timing(
+        R"re("(queue_ms|exec_ms|runtime_s)":[^,}]*)re");
+    return std::regex_replace(response, timing, R"("$1":_)");
+}
+
+/// Each payload through `uavdc serve`'s JSONL session, one at a time (a
+/// drain barrier after each), responses in order.
+std::vector<std::string> jsonl_responses(
+    const std::vector<std::string>& payloads) {
+    std::string input;
+    for (const std::string& p : payloads) {
+        input += p + "\n" + R"({"op":"drain","id":"barrier"})" + "\n";
+    }
+    std::istringstream in(input);
+    std::ostringstream out;
+    service::JsonlConfig cfg;
+    cfg.service.workers = 2;
+    cfg.service.defaults = fast_options();
+    (void)service::serve_jsonl(in, out, cfg);
+    std::vector<std::string> lines;
+    std::istringstream got(out.str());
+    for (std::string line; std::getline(got, line);) {
+        if (io::Json::parse(line).contains("op")) continue;
+        lines.push_back(blank_timings(line));
+    }
+    return lines;
+}
+
+/// Each payload through a router in front of one server, one at a time,
+/// in the given framing: the decoder strips nothing from a length-prefixed
+/// payload and one trailing CR from a newline one.
+std::vector<std::string> routed_responses(
+    const std::vector<std::string>& payloads, bool length_prefixed) {
+    Frontend fe(Role::kRouter);
+    Client client(fe.port());
+    std::vector<std::string> lines;
+    for (const std::string& p : payloads) {
+        client.send(p, length_prefixed);
+        auto f = client.next();
+        if (!f.has_value()) {
+            ADD_FAILURE() << "no response to " << p.substr(0, 80);
+            break;
+        }
+        EXPECT_EQ(f->length_prefixed, length_prefixed);
+        lines.push_back(blank_timings(f->payload));
+    }
+    const auto result = fe.stop_and_join();
+    EXPECT_EQ(result.transport.responses, result.transport.requests);
+    EXPECT_EQ(result.service.internal_errors, 0u);
+    return lines;
+}
+
+/// `{"planner":"alg2","instance":{...}}` with `head` spliced in first.
+std::string inline_request(const std::string& head, std::uint64_t seed) {
+    io::Json doc;
+    doc["planner"] = "alg2";
+    doc["instance"] =
+        io::to_json(uavdc::testing::small_instance(8, 180.0, seed));
+    const std::string body = doc.dump();
+    return head.empty() ? body : "{" + head + "," + body.substr(1);
+}
+
+void expect_routed_like_jsonl(const std::vector<std::string>& payloads) {
+    // JSONL lines cannot hold a raw newline; length-prefixed frames can.
+    std::vector<std::string> one_line;
+    for (const std::string& p : payloads) {
+        std::string l = p;
+        for (char& c : l) {
+            if (c == '\n') c = ' ';
+        }
+        one_line.push_back(l);
+    }
+    const std::vector<std::string> want = jsonl_responses(one_line);
+    ASSERT_EQ(want.size(), payloads.size());
+    const auto lp = routed_responses(payloads, /*length_prefixed=*/true);
+    const auto nl = routed_responses(one_line, /*length_prefixed=*/false);
+    ASSERT_EQ(lp.size(), want.size());
+    ASSERT_EQ(nl.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(lp[i], want[i]) << "length-prefixed, payload " << i;
+        EXPECT_EQ(nl[i], want[i]) << "newline, payload " << i;
+    }
+}
+
+TEST(NetRouter, ForwardsAwkwardIdsLikeJsonl) {
+    expect_routed_like_jsonl({
+        inline_request(R"("id":"q\"uote")", 61),
+        inline_request(R"("id":"back\\slash\\")", 62),
+        inline_request(R"("id":"ctl\u0001\t\n\u001f")", 63),
+        inline_request(R"("id":"né-ascii-中-é")", 64),
+        inline_request(R"("id":"7#hash#")", 65),
+        inline_request(R"("id":"#")", 66),
+        inline_request(R"("id":"")", 67),
+    });
+}
+
+TEST(NetRouter, ForwardsRequestsWithoutIdLikeJsonl) {
+    expect_routed_like_jsonl({
+        inline_request("", 68),
+        "{}",
+        "{ }",
+        "{\t\r\n}",
+        R"({"planner":"alg2"})",
+    });
+}
+
+TEST(NetRouter, ForwardsTrailingWhitespaceAndCrLikeJsonl) {
+    expect_routed_like_jsonl({
+        inline_request(R"("id":"ws1")", 69) + "   ",
+        inline_request(R"("id":"ws2")", 70) + "\r",
+        inline_request(R"("id":"ws3")", 71) + " \t\r",
+        inline_request(R"("id":"ws4")", 72) + "\r\n\r",
+        "  " + inline_request(R"("id":"ws5")", 73) + " \n ",
+        "{}\r",
+        R"({"id":"ws6"  ,  "planner" : "alg2"   }   )",
+    });
+}
+
+TEST(NetRouter, ForwardsRepeatedIdKeysLikeJsonl) {
+    // The parser keeps the last of repeated keys: the request answers to
+    // "second", and the router's own tag, appended after both, wins at the
+    // shard.
+    expect_routed_like_jsonl({
+        inline_request(R"("id":"first","id":"second")", 74),
+        R"({"id":"a","planner":"alg2","id":"b"})",
+    });
+}
+
+// A non-string `id` or `op` once threw out of the front's frame dispatch
+// (and the JSONL loop), ending the process: it is a bad request.
+TEST(NetRouter, NonStringIdsAndOpsAnswerLikeJsonl) {
+    expect_routed_like_jsonl({
+        R"({"id":5,"planner":"alg2"})",
+        R"({"id":null})",
+        R"({"id":["x"],"op":"nope"})",
+        R"({"op":7,"id":"o7"})",
+        R"({"op":{},"planner":"alg2"})",
+        inline_request(R"("id":"after")", 76),
+    });
+}
+
+/// The `StaticModeResendsPendingExactlyOnce` shape with a real server
+/// behind it: the first upstream connection hangs up unanswered, the
+/// second proxies the resent bytes to a TcpServer. The client's response
+/// must still match JSONL byte for byte.
+TEST(NetRouter, ResendAfterShardDeathAnswersLikeJsonl) {
+    const std::string payload =
+        inline_request(R"("id":"resent\"#1")", 75) + " \r\n";
+    const std::vector<std::string> want = jsonl_responses({payload});
+    ASSERT_EQ(want.size(), 1u);
+
+    ServerHandle server;
+    Socket shard_listener = Socket::listen_tcp("127.0.0.1", 0, 16);
+    const int shard_port = shard_listener.local_port();
+    std::vector<std::string> seen_wire;
+    std::thread shard([&] {
+        for (int round = 0; round < 2; ++round) {
+            std::optional<Socket> conn;
+            while (!conn.has_value()) conn = shard_listener.accept_one();
+            FrameDecoder dec;
+            std::optional<Frame> f;
+            char buf[4096];
+            while (!f.has_value()) {
+                const IoResult r = conn->read_some(buf, sizeof(buf));
+                if (r.status != IoStatus::kOk) break;
+                dec.feed(buf, r.n);
+                f = dec.next();
+            }
+            if (!f.has_value()) break;
+            seen_wire.push_back(f->payload);
+            if (round == 0) continue;  // hang up unanswered
+            Client up(server.port);
+            up.send(f->payload, true);
+            const auto r = up.next();
+            if (r.has_value()) {
+                (void)conn->write_all(encode_frame(r->payload, true));
+            }
+            while (conn->read_some(buf, sizeof(buf)).status ==
+                   IoStatus::kOk) {
+            }
+        }
+    });
+
+    RouterHandle router({shard_port});
+    Client client(router.port);
+    client.send(payload, /*length_prefixed=*/true);
+    auto f = client.next(20000);
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(blank_timings(f->payload), want[0]);
+    EXPECT_FALSE(client.next(200).has_value()) << "duplicate response";
+
+    const Router::RunResult res = router.stop_and_join();
+    shard_listener.close();
+    shard.join();
+    EXPECT_EQ(res.transport.retried_after_shard_death, 1u);
+    ASSERT_EQ(seen_wire.size(), 2u);
+    EXPECT_EQ(seen_wire[0], seen_wire[1]);
+    // The client's bytes, tag appended before the closing brace.
+    EXPECT_EQ(seen_wire[0].substr(0, payload.size() - 4),
+              payload.substr(0, payload.size() - 4));
+    EXPECT_EQ(seen_wire[0].substr(payload.size() - 4),
+              R"(,"id":"1#resent\"#1"} )" "\r\n");
 }
 
 TEST(NetSignal, TriggerSetsFlagAndWakesPipe) {

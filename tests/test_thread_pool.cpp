@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "uavdc/util/parallel_for.hpp"
@@ -112,6 +115,44 @@ TEST(ParallelMap, ProducesOrderedResults) {
 TEST(GlobalPool, IsUsable) {
     auto f = global_pool().submit([] { return 1; });
     EXPECT_EQ(f.get(), 1);
+}
+
+// A caller pinned to one CPU gets no fan-out from the global pool: every
+// index runs on the calling thread. Unpinned, the same loop reaches the
+// pool wherever the machine has more than one CPU to offer.
+TEST(GlobalPool, PinnedCallerRunsInline) {
+    cpu_set_t all;
+    CPU_ZERO(&all);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &all)) ++first;
+
+    constexpr std::size_t n = 4096;
+    auto worker_share = [&] {
+        const auto me = std::this_thread::get_id();
+        std::vector<std::thread::id> ran(n);
+        util::maybe_parallel_for(
+            true, 0, n,
+            [&](std::size_t i) { ran[i] = std::this_thread::get_id(); }, 1);
+        std::size_t elsewhere = 0;
+        for (const auto& id : ran) elsewhere += id != me ? 1 : 0;
+        return elsewhere;
+    };
+    // On a thread of its own, so the test runner's mask is left alone.
+    std::thread pinned([&] {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(first, &one);
+        ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+        EXPECT_TRUE(util::caller_has_one_cpu());
+        EXPECT_EQ(worker_share(), 0u);
+    });
+    pinned.join();
+
+    if (CPU_COUNT(&all) > 1 && util::global_pool().num_threads() > 1) {
+        EXPECT_FALSE(util::caller_has_one_cpu());
+        EXPECT_GT(worker_share(), 0u);
+    }
 }
 
 TEST(ThreadPool, ShutdownDrainsThenJoins) {
