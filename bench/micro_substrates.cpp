@@ -7,9 +7,7 @@
 #include "uavdc/core/algorithm2.hpp"
 #include "uavdc/geom/coverage.hpp"
 #include "uavdc/geom/grid.hpp"
-#include "uavdc/geom/hull.hpp"
 #include "uavdc/geom/kmeans.hpp"
-#include "uavdc/geom/obstacle_field.hpp"
 #include "uavdc/geom/spatial_hash.hpp"
 #include "uavdc/graph/held_karp.hpp"
 #include "uavdc/graph/christofides.hpp"
@@ -139,33 +137,6 @@ void BM_KMeans(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_KMeans)->Arg(200)->Arg(1000);
-
-void BM_ConvexHull(benchmark::State& state) {
-    const auto pts =
-        random_points(static_cast<int>(state.range(0)), 10, 1000.0);
-    for (auto _ : state) {
-        auto hull = geom::convex_hull(pts);
-        benchmark::DoNotOptimize(hull.size());
-    }
-}
-BENCHMARK(BM_ConvexHull)->Arg(1000)->Arg(10000);
-
-void BM_ObstacleShortestPath(benchmark::State& state) {
-    std::vector<geom::Aabb> zones;
-    util::Rng rng(11);
-    for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-        const geom::Vec2 lo{rng.uniform(100.0, 800.0),
-                            rng.uniform(100.0, 800.0)};
-        zones.push_back(
-            geom::Aabb{lo, lo + geom::Vec2{60.0, 60.0}});
-    }
-    const geom::ObstacleField field(zones);
-    for (auto _ : state) {
-        auto res = field.shortest_path({0.0, 0.0}, {1000.0, 1000.0});
-        benchmark::DoNotOptimize(res.length_m);
-    }
-}
-BENCHMARK(BM_ObstacleShortestPath)->Arg(4)->Arg(16);
 
 void BM_HeldKarp(benchmark::State& state) {
     const auto pts =

@@ -6,12 +6,17 @@
 //
 //   ./survey_import [--csv=FILE] [--energy=3e4]
 //
-// Without --csv a small synthetic survey file is written to a temp path
-// first, so the example is self-contained.
+// Without --csv a small synthetic survey file is written to a unique temp
+// path first, so the example is self-contained; that file is removed once
+// it has been loaded.
+
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "uavdc/core/evaluate.hpp"
 #include "uavdc/core/exact_dcm.hpp"
@@ -22,27 +27,44 @@
 #include "uavdc/workload/csv_import.hpp"
 #include "uavdc/workload/presets.hpp"
 
+namespace {
+
+// Writes the demo survey to a fresh file under the temp directory and
+// returns its path; two concurrent runs never share one.
+std::string write_demo_survey() {
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "uavdc_survey_demo_XXXXXX.csv")
+                           .string();
+    const int fd = ::mkstemps(path.data(), 4);
+    if (fd < 0) throw std::runtime_error("cannot create " + path);
+    ::close(fd);
+    std::ofstream out(path);
+    out << "x,y,data_mb\n"
+           "# creek gauges\n"
+           "40,35,420\n55,42,380\n48,60,510\n"
+           "# orchard cluster\n"
+           "160,150,240\n175,163,310\n158,175,275\n170,148,190\n"
+           "# far ridge\n"
+           "260,80,640\n255,95,580\n";
+    return path;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
     using namespace uavdc;
     const util::Flags flags(argc, argv);
 
-    std::string csv = flags.get_string("csv", "");
-    if (csv.empty()) {
-        csv = "/tmp/uavdc_survey_demo.csv";
-        std::ofstream out(csv);
-        out << "x,y,data_mb\n"
-               "# creek gauges\n"
-               "40,35,420\n55,42,380\n48,60,510\n"
-               "# orchard cluster\n"
-               "160,150,240\n175,163,310\n158,175,275\n170,148,190\n"
-               "# far ridge\n"
-               "260,80,640\n255,95,580\n";
-        std::cout << "(wrote demo survey to " << csv << ")\n\n";
-    }
-
     auto uav = workload::paper_uav();
     uav.energy_j = flags.get_double("energy", 3.0e4);
+    std::string csv = flags.get_string("csv", "");
+    const bool demo = csv.empty();
+    if (demo) {
+        csv = write_demo_survey();
+        std::cout << "(wrote demo survey to " << csv << ")\n\n";
+    }
     const auto inst = workload::load_devices_csv(csv, uav);
+    if (demo) std::remove(csv.c_str());
     std::cout << "Loaded " << inst.num_devices() << " devices, "
               << util::Table::fmt(inst.total_data_mb() / 1000.0, 2)
               << " GB backlog; region "

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "test_util.hpp"
 #include "uavdc/model/energy_view.hpp"
 #include "uavdc/core/registry.hpp"
+#include "uavdc/io/serialize.hpp"
 #include "uavdc/util/check.hpp"
 #include "uavdc/util/thread_pool.hpp"
 
@@ -87,6 +90,57 @@ TEST(Conformance, EmptyPlanConforms) {
     const auto rep = check_conformance(inst, {});
     EXPECT_TRUE(rep.ok()) << describe(rep);
     EXPECT_DOUBLE_EQ(rep.evaluation.collected_mb, 0.0);
+}
+
+// Degenerate fields, each at an ample and a vanishing battery: every
+// planner under every scoring engine must emit a valid, conforming plan,
+// and the three engines must agree on it byte for byte.
+TEST(Conformance, DegenerateInstances) {
+    using Devices = std::vector<std::pair<geom::Vec2, double>>;
+    const double side = 200.0;
+    const std::vector<std::pair<std::string, Devices>> fields = {
+        {"no devices", {}},
+        {"one device", {{{120.0, 80.0}, 300.0}}},
+        {"30 coincident", Devices(30, {{100.0, 100.0}, 50.0})},
+        {"on the depot", {{{0.0, 0.0}, 200.0}, {{0.0, 0.0}, 150.0}}},
+        {"all 0 MB",
+         {{{30.0, 40.0}, 0.0}, {{150.0, 60.0}, 0.0}, {{90.0, 170.0}, 0.0}}},
+        {"near-duplicate corner pair",
+         {{{side, side}, 250.0}, {{std::nextafter(side, 0.0), side}, 250.0}}},
+    };
+    using core::ScoringEngine;
+    const ScoringEngine engines[] = {ScoringEngine::kIncremental,
+                                     ScoringEngine::kReference,
+                                     ScoringEngine::kIncrementalFast};
+    for (const auto& [label, devices] : fields) {
+        for (const double energy_j : {3e5, 1e-9}) {
+            auto uav = workload::paper_uav();
+            uav.energy_j = energy_j;
+            const auto inst = manual_instance(devices, side, uav);
+            for (const auto& name : core::planner_names()) {
+                std::string first_bytes;
+                for (const auto engine : engines) {
+                    core::PlannerOptions opts;
+                    opts.scoring = engine;
+                    const auto res = core::make_planner(name, opts)->plan(inst);
+                    const std::string where = label + " at " +
+                                              std::to_string(energy_j) +
+                                              " J, " + name + "/" +
+                                              to_string(engine);
+                    const auto val = core::validate_plan(inst, res.plan);
+                    EXPECT_TRUE(val.ok()) << where;
+                    const auto rep = check_conformance(inst, res.plan);
+                    EXPECT_TRUE(rep.ok()) << where << ":\n" << describe(rep);
+                    const std::string bytes = io::to_json(res.plan).dump();
+                    if (engine == engines[0]) {
+                        first_bytes = bytes;
+                    } else {
+                        EXPECT_EQ(bytes, first_bytes) << where;
+                    }
+                }
+            }
+        }
+    }
 }
 
 // The acceptance gate: >= 100 fuzzed instances x every registered planner,

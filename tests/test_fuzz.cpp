@@ -1,14 +1,15 @@
-// Randomized property tests: structures survive round-trips and the
-// routing substrate agrees with brute-force references on random inputs.
+// Randomized property tests: structures survive round-trips, and the
+// frame decoder keeps its invariants on mutated streams.
 
 #include <gtest/gtest.h>
 
-#include <queue>
+#include <algorithm>
 #include <string>
+#include <vector>
 
-#include "uavdc/geom/obstacle_field.hpp"
 #include "uavdc/io/json.hpp"
 #include "uavdc/io/serialize.hpp"
+#include "uavdc/net/frame.hpp"
 #include "uavdc/util/rng.hpp"
 #include "uavdc/workload/generator.hpp"
 
@@ -111,102 +112,130 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InstanceFuzz,
                          ::testing::Values(11u, 12u, 13u, 14u, 15u, 16u));
 
 // ---------------------------------------------------------------------------
-// Obstacle routing vs. a fine-grid BFS reference.
+// Frame decoder: seeded streams in both framings, mutated and fed in random
+// chunks to a decoder with a small frame limit.
 // ---------------------------------------------------------------------------
 
-double grid_bfs_path(const geom::ObstacleField& field, const geom::Vec2& a,
-                     const geom::Vec2& b, double world, double step) {
-    // 8-connected grid Dijkstra as an upper-bound reference.
-    const int n = static_cast<int>(world / step) + 1;
-    auto id = [&](int x, int y) { return y * n + x; };
-    auto pos = [&](int x, int y) {
-        return geom::Vec2{x * step, y * step};
-    };
-    const int sx = static_cast<int>(std::lround(a.x / step));
-    const int sy = static_cast<int>(std::lround(a.y / step));
-    const int tx = static_cast<int>(std::lround(b.x / step));
-    const int ty = static_cast<int>(std::lround(b.y / step));
-    std::vector<double> dist(static_cast<std::size_t>(n) * n, 1e18);
-    using Item = std::pair<double, int>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-    dist[static_cast<std::size_t>(id(sx, sy))] = 0.0;
-    heap.push({0.0, id(sx, sy)});
-    while (!heap.empty()) {
-        const auto [d, u] = heap.top();
-        heap.pop();
-        const int ux = u % n;
-        const int uy = u / n;
-        if (d > dist[static_cast<std::size_t>(u)] + 1e-12) continue;
-        if (ux == tx && uy == ty) return d;
-        for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-                if (dx == 0 && dy == 0) continue;
-                const int vx = ux + dx;
-                const int vy = uy + dy;
-                if (vx < 0 || vy < 0 || vx >= n || vy >= n) continue;
-                if (!field.segment_clear(pos(ux, uy), pos(vx, vy))) {
-                    continue;
-                }
-                const double w = geom::distance(pos(ux, uy), pos(vx, vy));
-                const int v = id(vx, vy);
-                if (d + w < dist[static_cast<std::size_t>(v)]) {
-                    dist[static_cast<std::size_t>(v)] = d + w;
-                    heap.push({d + w, v});
-                }
-            }
+constexpr std::size_t kMaxFrame = 48;
+
+// Payloads that survive their framing unchanged and fit the limit: a newline
+// payload holds no '\n', does not start with '$' and does not end in '\r'.
+std::vector<net::Frame> random_frames(util::Rng& rng) {
+    std::vector<net::Frame> frames(
+        static_cast<std::size_t>(rng.uniform_int(1, 12)));
+    for (auto& f : frames) {
+        f.length_prefixed = rng.bernoulli(0.5);
+        const auto len =
+            rng.uniform_int(0, static_cast<std::int64_t>(kMaxFrame));
+        for (std::int64_t i = 0; i < len; ++i) {
+            const char pool[] = "{}[]\":,.-09az \t\\";
+            f.payload += f.length_prefixed
+                             ? static_cast<char>(rng.uniform_int(0, 255))
+                             : pool[rng.uniform_int(
+                                   0, static_cast<std::int64_t>(
+                                          sizeof(pool)) - 2)];
         }
     }
-    return 1e18;
+    return frames;
 }
 
-class ObstacleFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+std::string encode_all(const std::vector<net::Frame>& frames) {
+    std::string wire;
+    for (const auto& f : frames) {
+        wire += net::encode_frame(f.payload, f.length_prefixed);
+    }
+    return wire;
+}
 
-TEST_P(ObstacleFuzz, VisibilityPathNoLongerThanGridPath) {
+// Byte flips, inserts, deletes, and `$` headers with huge, signed,
+// overflowing, over-limit or unterminated lengths.
+std::string mutate(std::string s, util::Rng& rng) {
+    const char* const headers[] = {
+        "$99999999999999999999999999\n", "$18446744073709551616\n",
+        "$18446744073709551615\n",       "$4294967296\n",
+        "$-1\n",                         "$+7\n",
+        "$49\n",                         "$\n",
+        "$ 5\n",                         "$000000000000000000000000000000000",
+    };
+    const auto edits = rng.uniform_int(1, 8);
+    for (std::int64_t e = 0; e < edits; ++e) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(s.size())));
+        switch (rng.uniform_int(0, 3)) {
+            case 0:
+                if (at < s.size()) {
+                    s[at] = static_cast<char>(
+                        s[at] ^ (1 << rng.uniform_int(0, 7)));
+                }
+                break;
+            case 1:
+                s.insert(at, 1, static_cast<char>(rng.uniform_int(0, 255)));
+                break;
+            case 2:
+                if (at < s.size()) s.erase(at, 1);
+                break;
+            default:
+                s.insert(at, headers[rng.uniform_int(
+                                 0, std::size(headers) - 1)]);
+        }
+    }
+    return s;
+}
+
+// Feeds `wire` in random chunk sizes, draining after every feed.
+std::vector<net::Frame> decode_chunked(net::FrameDecoder& dec,
+                                       const std::string& wire,
+                                       util::Rng& rng) {
+    std::vector<net::Frame> out;
+    for (std::size_t pos = 0; pos < wire.size();) {
+        const auto chunk = std::min(
+            wire.size() - pos,
+            static_cast<std::size_t>(rng.uniform_int(1, 2 * kMaxFrame)));
+        dec.feed(wire.data() + pos, chunk);
+        pos += chunk;
+        while (auto f = dec.next()) out.push_back(std::move(*f));
+    }
+    return out;
+}
+
+class FrameFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FrameFuzz, CleanStreamDecodesExactlyUnderAnyChunking) {
     util::Rng rng(GetParam());
-    const double world = 100.0;
-    std::vector<geom::Aabb> zones;
-    const auto nz = rng.uniform_int(1, 3);
-    for (int i = 0; i < nz; ++i) {
-        const geom::Vec2 lo{rng.uniform(10.0, 70.0),
-                            rng.uniform(10.0, 70.0)};
-        zones.push_back(geom::Aabb{
-            lo, lo + geom::Vec2{rng.uniform(5.0, 25.0),
-                                rng.uniform(5.0, 25.0)}});
-    }
-    const geom::ObstacleField field(zones);
-    const double step = 5.0;
-    auto snap = [&](const geom::Vec2& p) {
-        return geom::Vec2{std::round(p.x / step) * step,
-                          std::round(p.y / step) * step};
-    };
-    for (int trial = 0; trial < 5; ++trial) {
-        // Snap endpoints to the reference lattice so both methods solve
-        // the same query.
-        const geom::Vec2 a =
-            snap({rng.uniform(0.0, world), rng.uniform(0.0, world)});
-        const geom::Vec2 b =
-            snap({rng.uniform(0.0, world), rng.uniform(0.0, world)});
-        if (field.blocked(a) || field.blocked(b)) continue;
-        const auto res = field.shortest_path(a, b);
-        ASSERT_TRUE(res.reachable);
-        // Lower bound: straight-line distance.
-        EXPECT_GE(res.length_m, geom::distance(a, b) - 1e-9);
-        // Upper bound: any grid path (grid is coarse, so generous slack).
-        const double grid = grid_bfs_path(field, a, b, world, step);
-        if (grid < 1e17) {
-            EXPECT_LE(res.length_m, grid + 1e-6)
-                << "visibility path must not exceed a grid path";
+    for (int trial = 0; trial < 40; ++trial) {
+        const auto sent = random_frames(rng);
+        net::FrameDecoder dec(kMaxFrame);
+        const auto got = decode_chunked(dec, encode_all(sent), rng);
+        ASSERT_EQ(got.size(), sent.size()) << "trial " << trial;
+        for (std::size_t i = 0; i < sent.size(); ++i) {
+            EXPECT_FALSE(got[i].malformed) << got[i].error;
+            EXPECT_EQ(got[i].payload, sent[i].payload) << "frame " << i;
+            EXPECT_EQ(got[i].length_prefixed, sent[i].length_prefixed);
         }
-        // Every returned leg must be clear.
-        for (std::size_t i = 0; i + 1 < res.waypoints.size(); ++i) {
-            EXPECT_TRUE(field.segment_clear(res.waypoints[i],
-                                            res.waypoints[i + 1]));
-        }
+        EXPECT_EQ(dec.frames(), sent.size());
+        EXPECT_EQ(dec.malformed(), 0u);
+        EXPECT_FALSE(dec.mid_frame());
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ObstacleFuzz,
-                         ::testing::Values(21u, 22u, 23u, 24u, 25u, 26u));
+TEST_P(FrameFuzz, MutatedStreamKeepsDecoderInvariants) {
+    util::Rng rng(GetParam());
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::string wire = mutate(encode_all(random_frames(rng)), rng);
+        net::FrameDecoder dec(kMaxFrame);
+        std::vector<net::Frame> got;
+        ASSERT_NO_THROW(got = decode_chunked(dec, wire, rng))
+            << "trial " << trial;
+        for (const auto& f : got) {
+            if (!f.malformed) EXPECT_LE(f.payload.size(), kMaxFrame);
+        }
+        EXPECT_EQ(dec.frames() + dec.malformed(), got.size())
+            << "trial " << trial;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FrameFuzz,
+                         ::testing::Values(31u, 32u, 33u, 34u, 35u, 36u));
 
 }  // namespace
 }  // namespace uavdc
