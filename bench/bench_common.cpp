@@ -14,6 +14,7 @@
 #include "uavdc/core/evaluate.hpp"
 #include "uavdc/core/incremental_scorer.hpp"
 #include "uavdc/core/planning_context.hpp"
+#include "uavdc/core/registry.hpp"
 #include "uavdc/io/json.hpp"
 #include "uavdc/util/check.hpp"
 #include "uavdc/util/csv.hpp"
@@ -358,6 +359,23 @@ std::vector<BaselineCase> baseline_cases(bool quick) {
             cfg.k = 4;
             cfg.scoring = engine;
             return std::make_unique<core::PartialCollectionPlanner>(cfg);
+        };
+        cases.push_back(std::move(c));
+    }
+
+    // Alg. 1 at the service defaults (GRASP, 8 restarts). Alg. 1 has no
+    // scoring engine, so both columns time the same planner and the
+    // engine-equivalence check below holds trivially.
+    {
+        BaselineCase c;
+        c.name = "alg1_grasp";
+        c.gen = quick ? workload::paper_scaled(0.6)
+                      : workload::paper_default();
+        c.gen.num_devices = quick ? 150 : 400;
+        const auto opts = core::PlannerOptions{};
+        c.hover = opts.hover_config();
+        c.make = [opts](core::ScoringEngine) {
+            return core::make_planner("alg1", opts);
         };
         cases.push_back(std::move(c));
     }

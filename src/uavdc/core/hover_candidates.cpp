@@ -285,15 +285,13 @@ HoverCandidateSet build_hover_candidates(const model::Instance& inst,
         // NOLINTNEXTLINE(uavdc-unchecked-narrowing): the key's high half
         // is a Grid cell id, an int by construction
         const auto cell = static_cast<int>(cell_key);
-        if (!cfg.position_ok || cfg.position_ok(grid.center(cell))) {
-            cells.push_back(cell);
-            for (std::size_t k = i; k < end; ++k) {
-                // NOLINTNEXTLINE(uavdc-unchecked-narrowing): the low half
-                // is a device index, checked above to fit int32
-                out.cov.push_back(static_cast<std::int32_t>(keys[k]));
-            }
-            out.cov_starts.push_back(out.cov.size());
+        cells.push_back(cell);
+        for (std::size_t k = i; k < end; ++k) {
+            // NOLINTNEXTLINE(uavdc-unchecked-narrowing): the low half
+            // is a device index, checked above to fit int32
+            out.cov.push_back(static_cast<std::int32_t>(keys[k]));
         }
+        out.cov_starts.push_back(out.cov.size());
         i = end;
     }
     keys = {};

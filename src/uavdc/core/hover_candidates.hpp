@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -28,10 +27,6 @@ struct HoverCandidateConfig {
     /// Also consider hovering locations in a band of width R0 around the
     /// region, so edge devices can be covered from outside the region.
     bool inflate_by_coverage = false;
-    /// Optional admissibility predicate on hovering positions (e.g. "not
-    /// inside a no-fly zone"); cells whose centre fails it are dropped
-    /// before any other processing. Empty = all positions admissible.
-    std::function<bool(const geom::Vec2&)> position_ok;
 };
 
 /// One candidate hovering location s_j with its precomputed quantities

@@ -91,9 +91,9 @@ std::uint64_t PlanningContext::config_fingerprint(
     fnv_mix(h, static_cast<std::uint64_t>(
                    static_cast<std::int64_t>(cfg.max_candidates)));
     fnv_mix(h, static_cast<std::uint64_t>(cfg.inflate_by_coverage));
-    // position_ok is opaque; obtain() refuses to cache such configs, so the
-    // fingerprint only needs to distinguish "has one" from "hasn't".
-    fnv_mix(h, static_cast<std::uint64_t>(cfg.position_ok != nullptr));
+    // Where a since-removed position predicate's "has one" bit went, so
+    // fingerprints keep their values.
+    fnv_mix(h, std::uint64_t{0});
     return h;
 }
 
@@ -358,15 +358,6 @@ PlanningContextCache::PlanningContextCache(std::size_t capacity)
 
 std::shared_ptr<const PlanningContext> PlanningContextCache::obtain(
     const model::Instance& inst, const HoverCandidateConfig& cfg) {
-    if (cfg.position_ok) {
-        // Opaque predicate: two configs with different predicates would
-        // collide, so never memoize these.
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++uncached_;
-        }
-        return PlanningContext::build(inst, cfg);
-    }
     std::uint64_t key = PlanningContext::instance_fingerprint(inst);
     fnv_mix(key, PlanningContext::config_fingerprint(cfg));
 
@@ -413,7 +404,6 @@ ContextCacheStats PlanningContextCache::stats() const {
     s.hits = hits_;
     s.misses = misses_;
     s.evictions = evictions_;
-    s.uncached_builds = uncached_;
     s.candidate_builds = PlanningContext::total_candidate_builds();
     s.candidate_build_time_s = PlanningContext::total_candidate_build_time_s();
     return s;
@@ -427,7 +417,7 @@ std::size_t PlanningContextCache::size() const {
 void PlanningContextCache::clear() {
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
-    hits_ = misses_ = evictions_ = uncached_ = 0;
+    hits_ = misses_ = evictions_ = 0;
 }
 
 PlanningContextCache& PlanningContextCache::global() {

@@ -61,7 +61,6 @@ struct ContextCacheStats {
     std::uint64_t hits{0};
     std::uint64_t misses{0};
     std::uint64_t evictions{0};
-    std::uint64_t uncached_builds{0};  ///< cache bypasses (position_ok set)
     std::uint64_t candidate_builds{0};
     double candidate_build_time_s{0.0};
 };
@@ -177,9 +176,7 @@ class PlanningContext {
     /// Build a fresh, uncached context.
     [[nodiscard]] static std::shared_ptr<const PlanningContext> build(
         model::Instance inst, HoverCandidateConfig cfg = {});
-    /// Memoized build through the global `PlanningContextCache`. Configs
-    /// carrying a `position_ok` predicate are not hashable and bypass the
-    /// cache (a fresh context is returned each call).
+    /// Memoized build through the global `PlanningContextCache`.
     [[nodiscard]] static std::shared_ptr<const PlanningContext> obtain(
         const model::Instance& inst, const HoverCandidateConfig& cfg = {});
 
@@ -289,7 +286,6 @@ class PlanningContextCache {
     std::uint64_t hits_{0};
     std::uint64_t misses_{0};
     std::uint64_t evictions_{0};
-    std::uint64_t uncached_{0};
 };
 
 }  // namespace uavdc::core

@@ -132,18 +132,31 @@ std::vector<std::vector<std::size_t>> nearest_neighbor_lists(
     std::vector<std::vector<std::size_t>> nb(n);
     if (n <= 1 || k == 0) return nb;
     k = std::min(k, n - 1);
-    std::vector<std::pair<double, std::size_t>> row;
-    row.reserve(n - 1);
+    // Bounded top-k: a sorted k-slot list per row. Indices arrive in
+    // increasing order, so a later node never beats an equal weight, and
+    // (weight, index) order needs only a strict weight comparison.
+    std::vector<double> top_w(k);
     for (std::size_t i = 0; i < n; ++i) {
-        row.clear();
-        for (std::size_t j = 0; j < n; ++j) {
-            if (j != i) row.emplace_back(g.weight(i, j), j);
+        const auto row = g.row(i);
+        auto& list = nb[i];
+        list.resize(k);
+        // Insert (row[j], j) into the sorted slots [0, len], dropping slot len.
+        const auto place = [&](std::size_t j, std::size_t len) {
+            std::size_t t = len;
+            for (; t > 0 && row[j] < top_w[t - 1]; --t) {
+                top_w[t] = top_w[t - 1];
+                list[t] = list[t - 1];
+            }
+            top_w[t] = row[j];
+            list[t] = j;
+        };
+        std::size_t j = 0;
+        for (std::size_t len = 0; len < k; ++j) {
+            if (j != i) place(j, len++);
         }
-        std::partial_sort(row.begin(),
-                          row.begin() + static_cast<std::ptrdiff_t>(k),
-                          row.end());
-        nb[i].reserve(k);
-        for (std::size_t t = 0; t < k; ++t) nb[i].push_back(row[t].second);
+        for (; j < n; ++j) {
+            if (row[j] < top_w[k - 1] && j != i) place(j, k - 1);
+        }
     }
     return nb;
 }

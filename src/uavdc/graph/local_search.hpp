@@ -20,7 +20,8 @@ double or_opt(const DenseGraph& g, std::vector<std::size_t>& tour,
 
 /// k-nearest-neighbour lists for every node: nb[i] holds the k nodes closest
 /// to i (excluding i), ordered by (weight, index). The candidate-move lists
-/// for the *_neighbors local searches below.
+/// for the *_neighbors local searches below. One pass per row keeps a
+/// sorted k-slot list: O(n) per row plus O(k) per admitted node.
 [[nodiscard]] std::vector<std::vector<std::size_t>> nearest_neighbor_lists(
     const DenseGraph& g, std::size_t k);
 

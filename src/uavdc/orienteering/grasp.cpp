@@ -5,6 +5,7 @@
 
 #include "uavdc/graph/local_search.hpp"
 #include "uavdc/orienteering/greedy.hpp"
+#include "uavdc/orienteering/insertion_cache.hpp"
 #include "uavdc/util/rng.hpp"
 
 namespace uavdc::orienteering {
@@ -22,22 +23,25 @@ struct Candidate {
 /// Randomized greedy construction with a restricted candidate list: at each
 /// step gather feasible insertions, keep those with score within
 /// [max - alpha * (max - min), max], and pick one uniformly at random.
-Solution construct(const Problem& p, double alpha, util::Rng& rng) {
+Solution construct(const Problem& p, double alpha, util::Rng& rng,
+                   InsertionCache& cache) {
     Solution s;
     s.tour = {p.depot};
     s.cost = 0.0;
     s.prize = p.prizes[p.depot];
     std::vector<bool> in(p.size(), false);
     in[p.depot] = true;
+    cache.rebuild(s.tour, in);
 
     std::vector<Candidate> cands;
+    std::vector<std::size_t> rcl;
     for (;;) {
         cands.clear();
         double best = 0.0;
         double worst = std::numeric_limits<double>::infinity();
         for (std::size_t v = 0; v < p.size(); ++v) {
             if (in[v] || p.prizes[v] <= 0.0) continue;
-            const auto ins = graph::cheapest_insertion(p.graph, s.tour, v);
+            const graph::Insertion ins = cache.get(v);
             if (s.cost + ins.delta > p.budget + kEps) continue;
             const double score = p.prizes[v] / std::max(ins.delta, kEps);
             cands.push_back({v, ins, score});
@@ -47,7 +51,7 @@ Solution construct(const Problem& p, double alpha, util::Rng& rng) {
         if (cands.empty()) break;
         const double cutoff = best - alpha * (best - worst);
         // Partition candidates into the RCL.
-        std::vector<std::size_t> rcl;
+        rcl.clear();
         for (std::size_t i = 0; i < cands.size(); ++i) {
             if (cands[i].score >= cutoff - kEps) rcl.push_back(i);
         }
@@ -61,6 +65,7 @@ Solution construct(const Problem& p, double alpha, util::Rng& rng) {
         s.cost += c.ins.delta;
         s.prize += p.prizes[c.node];
         in[c.node] = true;
+        cache.on_insert(s.tour, c.ins.position, in);
     }
     return s;
 }
@@ -81,12 +86,13 @@ void shake(const Problem& p, Solution& s, double fraction, util::Rng& rng) {
 
 Solution solve_grasp(const Problem& p, const GraspConfig& cfg) {
     p.validate();
-    Solution best = solve_greedy(p);
+    InsertionCache cache(p);
+    Solution best = solve_greedy(p, cache);
     util::Rng root(cfg.seed);
     for (int it = 0; it < cfg.iterations; ++it) {
         util::Rng rng = root.split(static_cast<std::uint64_t>(it) + 1);
-        Solution s = construct(p, cfg.rcl_alpha, rng);
-        polish(p, s);
+        Solution s = construct(p, cfg.rcl_alpha, rng, cache);
+        polish(p, s, cache);
         if (s.feasible(p) &&
             (s.prize > best.prize + kEps ||
              (s.prize > best.prize - kEps && s.cost < best.cost - kEps))) {
@@ -95,7 +101,7 @@ Solution solve_grasp(const Problem& p, const GraspConfig& cfg) {
         Solution inc = best;
         for (int round = 0; round < cfg.shakes_per_restart; ++round) {
             shake(p, inc, cfg.shake_fraction, rng);
-            polish(p, inc);
+            polish(p, inc, cache);
             if (inc.feasible(p) && inc.prize > best.prize + kEps) best = inc;
         }
     }

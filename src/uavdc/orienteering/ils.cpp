@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "uavdc/orienteering/greedy.hpp"
+#include "uavdc/orienteering/insertion_cache.hpp"
 #include "uavdc/util/rng.hpp"
 
 namespace uavdc::orienteering {
@@ -44,13 +45,14 @@ void remove_segment(const Problem& p, Solution& s, int seg_min, int seg_max,
 
 Solution solve_ils(const Problem& p, const IlsConfig& cfg) {
     p.validate();
-    Solution best = solve_greedy(p);
+    InsertionCache cache(p);
+    Solution best = solve_greedy(p, cache);
     util::Rng rng(cfg.seed);
     int stale = 0;
     for (int it = 0; it < cfg.iterations; ++it) {
         Solution cand = best;
         remove_segment(p, cand, cfg.segment_min, cfg.segment_max, rng);
-        polish(p, cand);
+        polish(p, cand, cache);
         if (cand.feasible(p) &&
             (cand.prize > best.prize + kEps ||
              (cand.prize > best.prize - kEps &&

@@ -176,6 +176,44 @@ TEST(NeighborLists, KClampedToGraphSize) {
     for (const auto& list : nb) EXPECT_EQ(list.size(), 4u);
 }
 
+TEST(NeighborLists, TieHeavyMatchesFullSort) {
+    // Grid-aligned points with duplicates: many equal weights per row, so
+    // the index tie-break decides most slots.
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        util::Rng rng(seed);
+        const int n = static_cast<int>(rng.uniform_int(2, 30));
+        std::vector<geom::Vec2> pts;
+        for (int i = 0; i < n; ++i) {
+            if (i > 0 && rng.bernoulli(0.3)) {
+                pts.push_back(pts[static_cast<std::size_t>(
+                    rng.uniform_int(0, i - 1))]);
+            } else {
+                pts.push_back({static_cast<double>(rng.uniform_int(0, 3)),
+                               static_cast<double>(rng.uniform_int(0, 3))});
+            }
+        }
+        const DenseGraph g = DenseGraph::euclidean(pts);
+        const auto un = static_cast<std::size_t>(n);
+        for (std::size_t k = 1; k <= un + 2; ++k) {
+            const auto nb = nearest_neighbor_lists(g, k);
+            ASSERT_EQ(nb.size(), un);
+            for (std::size_t i = 0; i < un; ++i) {
+                std::vector<std::pair<double, std::size_t>> row;
+                for (std::size_t j = 0; j < un; ++j) {
+                    if (j != i) row.emplace_back(g.weight(i, j), j);
+                }
+                std::sort(row.begin(), row.end());
+                std::vector<std::size_t> want;
+                for (std::size_t t = 0; t < std::min(k, un - 1); ++t) {
+                    want.push_back(row[t].second);
+                }
+                EXPECT_EQ(nb[i], want)
+                    << "seed " << seed << " k " << k << " node " << i;
+            }
+        }
+    }
+}
+
 TEST(TwoOptNeighbors, FixesObviousCrossing) {
     const std::vector<geom::Vec2> pts{
         {0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}};

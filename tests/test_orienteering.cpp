@@ -2,15 +2,25 @@
 
 #include "uavdc/util/check.hpp"
 
+#include <bit>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "orienteering_oracle.hpp"
+#include "uavdc/core/algorithm1.hpp"
+#include "uavdc/core/planning_context.hpp"
+#include "uavdc/graph/local_search.hpp"
 #include "uavdc/orienteering/exact.hpp"
 #include "uavdc/orienteering/grasp.hpp"
 #include "uavdc/orienteering/greedy.hpp"
+#include "uavdc/orienteering/ils.hpp"
+#include "uavdc/orienteering/insertion_cache.hpp"
 #include "uavdc/orienteering/solver.hpp"
 #include "uavdc/util/rng.hpp"
+#include "uavdc/workload/generator.hpp"
+#include "uavdc/workload/presets.hpp"
 
 namespace uavdc::orienteering {
 namespace {
@@ -210,6 +220,221 @@ TEST_P(ExactBudgetSweep, PrizeMonotoneInBudget) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactBudgetSweep,
                          ::testing::Values(31u, 32u, 33u, 34u, 35u));
+
+// --- InsertionCache against a fresh graph::cheapest_insertion scan, and the
+// --- cached solvers against the frozen scan-based ones
+// --- (orienteering_oracle.hpp).
+
+namespace oracle = testing::orienteering_oracle;
+
+/// Tie-heavy problems: grid-aligned points (kind 0), many coincident points
+/// (kind 1), and a Euclidean graph with some edges forced to zero (kind 2).
+/// A third of the prizes are zero; the budget spans "a few stops" to
+/// "nearly everything".
+Problem tie_heavy_problem(std::uint64_t seed) {
+    util::Rng rng(seed);
+    const int kind = static_cast<int>(seed % 3);
+    const int n = static_cast<int>(rng.uniform_int(2, 40));
+    std::vector<geom::Vec2> pts;
+    for (int i = 0; i < n; ++i) {
+        if (kind == 1 && i > 0 && rng.bernoulli(0.5)) {
+            pts.push_back(pts[static_cast<std::size_t>(rng.uniform_int(0, i - 1))]);
+        } else if (kind == 2) {
+            pts.push_back({rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)});
+        } else {
+            pts.push_back({static_cast<double>(rng.uniform_int(0, 5)) * 10.0,
+                           static_cast<double>(rng.uniform_int(0, 5)) * 10.0});
+        }
+    }
+    Problem p;
+    p.graph = graph::DenseGraph::euclidean(pts);
+    if (kind == 2) {
+        for (int e = 0; e < n; ++e) {
+            const auto i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+            const auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+            if (i != j) p.graph.set_weight(i, j, 0.0);
+        }
+    }
+    p.prizes.resize(static_cast<std::size_t>(n));
+    for (auto& z : p.prizes) {
+        z = rng.bernoulli(0.3) ? 0.0
+                               : static_cast<double>(rng.uniform_int(1, 4));
+    }
+    p.depot = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+    p.budget = rng.uniform(0.0, 600.0);
+    return p;
+}
+
+/// Alg. 1 auxiliary graphs (Eq. 9 weights carry the hover-energy terms) of
+/// paper-preset instances.
+Problem alg1_problem(std::uint64_t seed, int devices) {
+    workload::GeneratorConfig g = workload::paper_default();
+    g.num_devices = devices;
+    const auto inst = workload::generate(g, seed);
+    const auto ctx = core::PlanningContext::build(inst);
+    const auto cands = core::GridOrienteeringPlanner::select_disjoint(
+        ctx->candidates(), inst.num_devices());
+    return core::GridOrienteeringPlanner::build_auxiliary_problem(inst,
+                                                                  cands);
+}
+
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_cache_fresh(const Problem& p, const std::vector<std::size_t>& tour,
+                        const std::vector<bool>& in,
+                        const InsertionCache& cache, const std::string& tag) {
+    for (std::size_t v = 0; v < p.size(); ++v) {
+        if (in[v] || p.prizes[v] <= 0.0) continue;
+        const auto fresh = graph::cheapest_insertion(p.graph, tour, v);
+        const auto& got = cache.get(v);
+        EXPECT_EQ(got.position, fresh.position) << tag << " node " << v;
+        EXPECT_TRUE(same_bits(got.delta, fresh.delta))
+            << tag << " node " << v << ": " << got.delta << " vs "
+            << fresh.delta;
+    }
+}
+
+std::vector<bool> mask_of(const Problem& p,
+                          const std::vector<std::size_t>& tour) {
+    std::vector<bool> in(p.size(), false);
+    for (std::size_t v : tour) in[v] = true;
+    return in;
+}
+
+/// Drives the cache through the moves construct() and polish() make —
+/// cached inserts (the RCL's random pick and try_insert's best score),
+/// replaces, 2-opt passes and shakes — checking every live entry after each.
+void fuzz_cache(const Problem& p, std::uint64_t seed, const std::string& tag) {
+    util::Rng rng(seed);
+    InsertionCache cache(p);
+    std::vector<std::size_t> tour{p.depot};
+    auto in = mask_of(p, tour);
+    cache.rebuild(tour, in);
+    expect_cache_fresh(p, tour, in, cache, tag + " start");
+    for (int step = 0; step < 60 && !::testing::Test::HasFailure(); ++step) {
+        std::vector<std::size_t> live;
+        for (std::size_t v = 0; v < p.size(); ++v) {
+            if (!in[v] && p.prizes[v] > 0.0) live.push_back(v);
+        }
+        const double op = rng.uniform();
+        std::string what;
+        if (op < 0.6 && !live.empty()) {
+            // Insert: a random live node (RCL pick) or the best prize per
+            // delta (try_insert), at its cached position.
+            std::size_t v = live[static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(live.size()) - 1))];
+            if (rng.bernoulli(0.5)) {
+                double best = -1.0;
+                for (std::size_t u : live) {
+                    const double score =
+                        p.prizes[u] / std::max(cache.get(u).delta, 1e-9);
+                    if (score > best) {
+                        best = score;
+                        v = u;
+                    }
+                }
+            }
+            const std::size_t q = cache.get(v).position;
+            tour.insert(tour.begin() + static_cast<std::ptrdiff_t>(q), v);
+            in[v] = true;
+            cache.on_insert(tour, q, in);
+            what = "insert";
+        } else if (op < 0.7 && tour.size() > 1) {
+            // Replace a non-depot stop with any unvisited node.
+            std::vector<std::size_t> out;
+            for (std::size_t v = 0; v < p.size(); ++v) {
+                if (!in[v]) out.push_back(v);
+            }
+            if (out.empty()) continue;
+            const auto pos = static_cast<std::size_t>(rng.uniform_int(
+                1, static_cast<std::int64_t>(tour.size()) - 1));
+            const std::size_t u = out[static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(out.size()) - 1))];
+            in[tour[pos]] = false;
+            in[u] = true;
+            tour[pos] = u;
+            cache.rebuild(tour, in);
+            what = "replace";
+        } else if (op < 0.85) {
+            // 2-opt: the cache is rebuilt only when the tour moved.
+            if (graph::two_opt(p.graph, tour) > 0.0) cache.rebuild(tour, in);
+            what = "two_opt";
+        } else {
+            std::vector<std::size_t> keep{p.depot};
+            for (std::size_t v : tour) {
+                if (v != p.depot && !rng.bernoulli(0.3)) keep.push_back(v);
+            }
+            tour = std::move(keep);
+            in = mask_of(p, tour);
+            cache.rebuild(tour, in);
+            what = "shake";
+        }
+        expect_cache_fresh(p, tour, in, cache,
+                           tag + " step " + std::to_string(step) + " " + what);
+    }
+}
+
+void expect_same_solution(const Solution& got, const Solution& want,
+                          const std::string& tag) {
+    EXPECT_EQ(got.tour, want.tour) << tag;
+    EXPECT_TRUE(same_bits(got.cost, want.cost)) << tag;
+    EXPECT_TRUE(same_bits(got.prize, want.prize)) << tag;
+}
+
+TEST(OrienteeringInsertionCache, TieHeavyFuzzMatchesFreshScan) {
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        fuzz_cache(tie_heavy_problem(seed), seed * 7919,
+                   "seed " + std::to_string(seed));
+        if (HasFailure()) break;
+    }
+}
+
+TEST(OrienteeringInsertionCache, Alg1GraphFuzzMatchesFreshScan) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        fuzz_cache(alg1_problem(seed, 40 + static_cast<int>(seed) * 10), seed,
+                   "alg1 seed " + std::to_string(seed));
+        if (HasFailure()) break;
+    }
+}
+
+TEST(OrienteeringInsertionCache, SolversMatchScanOracle) {
+    GraspConfig grasp;
+    grasp.iterations = 3;
+    IlsConfig ils;
+    ils.iterations = 12;
+    for (std::uint64_t seed = 1; seed <= 510; ++seed) {
+        // Tie-heavy graphs, then the random points of the tests above.
+        const Problem p =
+            seed % 2 == 0 ? tie_heavy_problem(seed)
+                          : random_problem(static_cast<int>(seed % 37) + 2,
+                                           static_cast<double>(seed % 5) * 60.0,
+                                           seed);
+        grasp.seed = seed;
+        ils.seed = seed;
+        const std::string tag = "seed " + std::to_string(seed);
+        expect_same_solution(solve_greedy(p), oracle::solve_greedy(p),
+                             tag + " greedy");
+        expect_same_solution(solve_grasp(p, grasp),
+                             oracle::solve_grasp(p, grasp), tag + " grasp");
+        expect_same_solution(solve_ils(p, ils), oracle::solve_ils(p, ils),
+                             tag + " ils");
+        if (HasFailure()) break;
+    }
+}
+
+TEST(OrienteeringInsertionCache, Alg1PlansMatchScanOracle) {
+    // Paper-preset instances at the service defaults (8 GRASP restarts).
+    GraspConfig grasp;
+    grasp.iterations = 8;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const Problem p = alg1_problem(seed, 100 + static_cast<int>(seed) * 60);
+        expect_same_solution(solve_grasp(p, grasp),
+                             oracle::solve_grasp(p, grasp),
+                             "alg1 seed " + std::to_string(seed));
+    }
+}
 
 }  // namespace
 }  // namespace uavdc::orienteering

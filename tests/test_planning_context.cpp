@@ -145,20 +145,6 @@ TEST(PlanningContext, ObtainMemoizesIdenticalRequests) {
     EXPECT_NE(a.get(), c.get());
 }
 
-TEST(PlanningContext, PositionOkPredicateBypassesCache) {
-    const auto inst = testing::small_instance(18, 210.0, 18);
-    HoverCandidateConfig cfg;
-    cfg.position_ok = [](const geom::Vec2&) { return true; };
-    auto& cache = PlanningContextCache::global();
-    const auto before = cache.stats();
-    const auto a = PlanningContext::obtain(inst, cfg);
-    const auto b = PlanningContext::obtain(inst, cfg);
-    EXPECT_NE(a.get(), b.get());
-    const auto after = cache.stats();
-    EXPECT_EQ(after.uncached_builds, before.uncached_builds + 2);
-    EXPECT_EQ(after.hits, before.hits);
-}
-
 TEST(PlanningContextCache, EvictsLeastRecentlyUsed) {
     PlanningContextCache cache(2);
     const auto i1 = testing::small_instance(8, 140.0, 21);
