@@ -24,7 +24,9 @@
 
 namespace uavdc::bench {
 
-BenchSettings BenchSettings::parse(int argc, char** argv) {
+BenchSettings BenchSettings::parse(
+    int argc, char** argv, const std::string& extra_usage,
+    const std::function<void(const util::Flags&)>& read_extra) {
     const util::Flags flags(argc, argv);
     BenchSettings s;
     const char* env_full = std::getenv("UAVDC_FULL");
@@ -33,7 +35,14 @@ BenchSettings BenchSettings::parse(int argc, char** argv) {
                                 std::string(env_full) == "1");
     s.replicates = flags.get_int("replicates", s.full ? 15 : 5);
     s.seed = static_cast<std::uint64_t>(flags.get_int64("seed", 1));
-    s.out_dir = flags.get_string("out", "bench_results");
+    s.out_dir = flags.get_string("out", "");
+    if (read_extra) read_extra(flags);
+    if (flags.report_unknown(std::cerr)) {
+        std::cerr << "usage: " << flags.program()
+                  << " [--full] [--replicates=N] [--seed=S] [--out=DIR]"
+                  << extra_usage << "\n";
+        std::exit(2);
+    }
     return s;
 }
 

@@ -37,8 +37,13 @@ struct BenchSettings {
     std::string out_dir;   ///< CSV output directory ("" = no CSV)
 
     /// Parse --full / --replicates / --seed / --out flags
-    /// (UAVDC_FULL=1 also enables full mode).
-    static BenchSettings parse(int argc, char** argv);
+    /// (UAVDC_FULL=1 also enables full mode). A harness with flags of its
+    /// own reads them in `read_extra` and names them in `extra_usage`. Any
+    /// other flag, `--help` included, prints the usage to stderr and exits
+    /// 2 before the sweep starts.
+    static BenchSettings parse(
+        int argc, char** argv, const std::string& extra_usage = "",
+        const std::function<void(const util::Flags&)>& read_extra = {});
 };
 
 /// Robust timing aggregates over benchmark repetitions. `min_s` is the

@@ -10,13 +10,16 @@
 
 int main(int argc, char** argv) {
     using namespace uavdc;
-    const auto settings = bench::BenchSettings::parse(argc, argv);
-    const util::Flags flags(argc, argv);
-
-    std::vector<double> deltas =
-        settings.full ? std::vector<double>{5.0, 10.0, 15.0, 20.0, 25.0, 30.0}
-                      : std::vector<double>{5.0, 10.0, 20.0, 30.0};
-    deltas = flags.get_double_list("deltas", deltas);
+    std::vector<double> deltas;
+    const auto settings = bench::BenchSettings::parse(
+        argc, argv, " [--deltas=d1,d2,...]", [&](const util::Flags& flags) {
+            deltas = flags.get_double_list("deltas", {});
+        });
+    if (deltas.empty()) {
+        deltas = settings.full
+                     ? std::vector<double>{5.0, 10.0, 15.0, 20.0, 25.0, 30.0}
+                     : std::vector<double>{5.0, 10.0, 20.0, 30.0};
+    }
 
     workload::GeneratorConfig gen = bench::base_generator(settings);
     // Fig. 4 uses the default battery; scale it with the field in fast mode.

@@ -10,9 +10,11 @@
 
 int main(int argc, char** argv) {
     using namespace uavdc;
-    const auto settings = bench::BenchSettings::parse(argc, argv);
-    const util::Flags flags(argc, argv);
-    const std::vector<int> ks = flags.get_int_list("ks", {1, 2, 4, 8});
+    std::vector<int> ks;
+    const auto settings = bench::BenchSettings::parse(
+        argc, argv, " [--ks=k1,k2,...]", [&](const util::Flags& flags) {
+            ks = flags.get_int_list("ks", {1, 2, 4, 8});
+        });
 
     workload::GeneratorConfig gen = bench::base_generator(settings);
     gen.uav.energy_j = bench::default_energy(settings);

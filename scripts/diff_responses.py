@@ -15,7 +15,9 @@ Both inputs hold one JSON response per line. Responses are matched by
 
 Everything else — ``status``, ``cache_hit``, ``partial``, ``error`` and
 the full ``result`` tree (plan, stats, fingerprints) — must match
-exactly. The left file drives the id set: every left id must exist on the
+exactly. ``--ignore-cache-hit`` drops ``cache_hit`` as well, for a stream
+where a response may come from a cache the other stream did not have
+(a respawned shard answers from its reloaded repository). The left file drives the id set: every left id must exist on the
 right with an identical payload; right-only ids (e.g. the JSONL run's
 priming responses when the capture holds only load-phase responses) are
 reported but not fatal unless --strict-ids.
@@ -30,7 +32,7 @@ import sys
 DROP = ("queue_ms", "exec_ms")
 
 
-def load(path):
+def load(path, drop):
     out = {}
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
@@ -48,7 +50,7 @@ def load(path):
                 sys.exit(f"{path}:{n}: response without id")
             if rid in out:
                 sys.exit(f"{path}:{n}: duplicate response for id {rid!r}")
-            for k in DROP:
+            for k in drop:
                 doc.pop(k, None)
             stats = doc.get("result", {})
             if isinstance(stats, dict):
@@ -68,10 +70,13 @@ def main():
     ap.add_argument("right", help="JSONL reference (uavdc serve output)")
     ap.add_argument("--strict-ids", action="store_true",
                     help="also fail on ids present only on the right")
+    ap.add_argument("--ignore-cache-hit", action="store_true",
+                    help="also ignore the cache_hit flag")
     args = ap.parse_args()
 
-    left = load(args.left)
-    right = load(args.right)
+    drop = DROP + (("cache_hit",) if args.ignore_cache_hit else ())
+    left = load(args.left, drop)
+    right = load(args.right, drop)
 
     failed = False
     missing = sorted(set(left) - set(right))
@@ -104,7 +109,7 @@ def main():
     if failed:
         return 1
     print(f"OK: {len(left)} responses byte-identical across transports "
-          f"(modulo {'/'.join(DROP)}).")
+          f"(modulo {'/'.join(drop)}).")
     return 0
 
 

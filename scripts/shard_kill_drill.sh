@@ -4,7 +4,10 @@
 # shard is SIGKILLed while requests are in flight. The router must resend
 # that shard's pending requests after respawning it, the client must still
 # receive every response with zero errors, and the router's final summary
-# must show the retries and the respawn.
+# must show the retries and the respawn. The responses must also be the
+# bytes the JSONL path gives for the same workload (cache_hit aside: the
+# respawned shard answers from its reloaded repository), so a response
+# replayed from the repository that changed by a byte fails the drill.
 #
 # Usage: scripts/shard_kill_drill.sh [BUILD_DIR] [REQUESTS]
 set -euo pipefail
@@ -45,7 +48,9 @@ VICTIM=$(echo "$SHARDS" | head -1)
 echo "router $ROUTER_PID on port $PORT, shards: $(echo $SHARDS | tr '\n' ' ')"
 
 "$UAVDC" loadgen --connect=127.0.0.1:"$PORT" --requests="$REQUESTS" \
-    --connections=8 --pipeline=32 > "$TMP/loadgen.json" &
+    --connections=8 --pipeline=32 \
+    --capture-out="$TMP/tcp_responses.jsonl" \
+    --emit-jsonl="$TMP/reference_workload.jsonl" > "$TMP/loadgen.json" &
 LOADGEN_PID=$!
 
 # Let the pipeline fill, then SIGKILL one shard mid-flight.
@@ -69,6 +74,13 @@ assert doc["errors"] == 0, f"{doc['errors']} error responses"
 print(f"loadgen survived the kill: {doc['received']}/{want} responses, "
       f"0 errors, {doc['rps']:.0f} req/s")
 EOF
+
+# The same workload through the JSONL path; the raw stdin path has no
+# connection backpressure, so give the admission queue the whole stream.
+"$UAVDC" serve --queue=$((REQUESTS + 64)) < "$TMP/reference_workload.jsonl" \
+    > "$TMP/jsonl_responses.jsonl" 2> /dev/null
+python3 "$(dirname "$0")/diff_responses.py" --ignore-cache-hit \
+    "$TMP/tcp_responses.jsonl" "$TMP/jsonl_responses.jsonl"
 
 kill -TERM "$ROUTER_PID"
 RC=0

@@ -229,11 +229,6 @@ void PlanningContext::ensure_distance_matrix() const {
     });
 }
 
-bool PlanningContext::has_distance_matrix() const {
-    ensure_distance_matrix();
-    return dist_matrix_;
-}
-
 double PlanningContext::node_distance(std::size_t i, std::size_t j) const {
     if (i == j) return 0.0;
     ensure_distance_matrix();

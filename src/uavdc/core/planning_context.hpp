@@ -147,10 +147,6 @@ class PlanningContext {
     /// and contention-free; larger sets compute distances on the fly.
     [[nodiscard]] double node_distance(std::size_t i, std::size_t j) const;
 
-    /// True when node_distance is served from the precomputed triangular
-    /// matrix (candidate set below the size threshold).
-    [[nodiscard]] bool has_distance_matrix() const;
-
     /// Fill the dense graph `g` (size nodes.size()) with the pairwise
     /// node_distance of every pair in `nodes` — the shared induced-submatrix
     /// path of the exact oracles (exact_dcm, exact_ratio_tsp).

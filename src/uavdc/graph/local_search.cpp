@@ -296,16 +296,4 @@ Insertion cheapest_insertion(const DenseGraph& g,
     return best;
 }
 
-double removal_delta(const DenseGraph& g, const std::vector<std::size_t>& tour,
-                     std::size_t pos) {
-    const std::size_t n = tour.size();
-    UAVDC_DCHECK(pos < n);
-    if (n <= 1) return 0.0;
-    if (n == 2) return -2.0 * g.weight(tour[0], tour[1]);
-    const std::size_t prev = tour[(pos + n - 1) % n];
-    const std::size_t cur = tour[pos];
-    const std::size_t next = tour[(pos + 1) % n];
-    return g.weight(prev, next) - g.weight(prev, cur) - g.weight(cur, next);
-}
-
 }  // namespace uavdc::graph

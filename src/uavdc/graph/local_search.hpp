@@ -52,10 +52,4 @@ struct Insertion {
                                            const std::vector<std::size_t>& tour,
                                            std::size_t node);
 
-/// Length change from deleting tour[pos] from a closed tour (<= 0 in metric
-/// graphs). For tours of size <= 1 the result is 0.
-[[nodiscard]] double removal_delta(const DenseGraph& g,
-                                   const std::vector<std::size_t>& tour,
-                                   std::size_t pos);
-
 }  // namespace uavdc::graph

@@ -1167,17 +1167,6 @@ std::vector<std::string> discover_files(
     return files;
 }
 
-std::vector<Finding> lint_tree(const std::vector<std::string>& roots) {
-    std::vector<Finding> findings;
-    for (const auto& f : discover_files(roots)) {
-        auto fs_findings = lint_file(f);
-        findings.insert(findings.end(),
-                        std::make_move_iterator(fs_findings.begin()),
-                        std::make_move_iterator(fs_findings.end()));
-    }
-    return findings;
-}
-
 std::string to_string(const Finding& f) {
     return f.file + ":" + std::to_string(f.line) + ": [" + f.id + " " +
            f.rule + "] " + f.message;

@@ -62,11 +62,6 @@ std::vector<Finding> lint_file(const std::string& path);
 /// byte-identical across runs and filesystems.
 std::vector<std::string> discover_files(const std::vector<std::string>& roots);
 
-/// Recursively lint every .hpp/.h/.cpp/.cc file under the given roots,
-/// skipping build directories and hidden directories. Results are sorted by
-/// (file, line) so output is deterministic.
-std::vector<Finding> lint_tree(const std::vector<std::string>& roots);
-
 /// "file:line: [UL00X no-raw-assert] message" — one line per finding.
 std::string to_string(const Finding& f);
 

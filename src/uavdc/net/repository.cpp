@@ -36,10 +36,10 @@ Repository::LoadResult Repository::load(service::PlanService& svc) {
                 svc.preload_instance(io::instance_from_json(doc.at("instance")));
                 ++r.instances;
             } else if (type == "response") {
+                const std::string& canon = doc.at("canon").as_string();
                 svc.preload_response(
                     fingerprint_from_hex(doc.at("key_hi").as_string()),
-                    fingerprint_from_hex(doc.at("key_lo").as_string()),
-                    doc.at("canon").as_string(),
+                    service::options_key(canon), canon,
                     fingerprint_from_hex(doc.at("check").as_string()),
                     doc.at("result"));
                 ++r.responses;
@@ -63,8 +63,8 @@ service::PlanService::StoreHooks Repository::hooks() {
     };
     h.on_response = [this](std::uint64_t key_hi, std::uint64_t key_lo,
                            const std::string& canon, std::uint64_t check,
-                           const io::Json& result) {
-        append_response(key_hi, key_lo, canon, check, result);
+                           const std::string& result_wire) {
+        append_response(key_hi, key_lo, canon, check, result_wire);
     };
     return h;
 }
@@ -81,15 +81,18 @@ void Repository::append_instance(std::uint64_t fp,
 void Repository::append_response(std::uint64_t key_hi, std::uint64_t key_lo,
                                  const std::string& options_canon,
                                  std::uint64_t instance_check,
-                                 const io::Json& result) {
-    io::Json doc;
-    doc["type"] = "response";
-    doc["key_hi"] = fingerprint_to_hex(key_hi);
-    doc["key_lo"] = fingerprint_to_hex(key_lo);
-    doc["canon"] = options_canon;
-    doc["check"] = fingerprint_to_hex(instance_check);
-    doc["result"] = result;
-    append_line(doc.dump());
+                                 const std::string& result_wire) {
+    // The keys in io::Json::dump()'s sorted order, so the line reads back
+    // as the document the format above names.
+    std::string line = "{\"canon\":";
+    io::Json::dump_string(line, options_canon);
+    line += ",\"check\":\"" + fingerprint_to_hex(instance_check) +
+            "\",\"key_hi\":\"" + fingerprint_to_hex(key_hi) +
+            "\",\"key_lo\":\"" + fingerprint_to_hex(key_lo) +
+            "\",\"result\":";
+    line += result_wire;
+    line += ",\"type\":\"response\"}";
+    append_line(line);
 }
 
 void Repository::append_line(const std::string& line) {

@@ -20,6 +20,10 @@ namespace uavdc::net {
 ///   {"type":"instance","fp":"16-hex","instance":{...}}
 ///   {"type":"response","key_hi":"16-hex","key_lo":"16-hex",
 ///    "canon":"...","check":"16-hex","result":{...}}
+/// A response line splices the result's wire bytes in as they are. `load()`
+/// ignores the logged `key_lo` and rekeys each response by
+/// `service::options_key(canon)`, so a log written under an older options
+/// hash still replays as cache hits.
 ///
 /// Every append is flushed to the kernel before returning, so a SIGKILLed
 /// process loses at most the record being written when the signal landed;
@@ -58,7 +62,7 @@ class Repository {
     void append_response(std::uint64_t key_hi, std::uint64_t key_lo,
                          const std::string& options_canon,
                          std::uint64_t instance_check,
-                         const io::Json& result);
+                         const std::string& result_wire);
 
     [[nodiscard]] std::uint64_t appended() const;
     [[nodiscard]] const std::string& path() const { return path_; }

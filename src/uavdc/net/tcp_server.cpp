@@ -101,9 +101,6 @@ TcpServer::RunResult TcpServer::run() {
     // The repository outlives the service, whose store hooks write to it.
     std::unique_ptr<Repository> repo;
     service::PlanService::Config svc_cfg = cfg_.service;
-    // Every response leaves through response_line(), which splices the
-    // pre-serialized result — hits never need the tree copied.
-    svc_cfg.wire_only_hits = true;
     if (!cfg_.repo_path.empty()) {
         repo = std::make_unique<Repository>(cfg_.repo_path);
         svc_cfg.store = repo->hooks();

@@ -90,6 +90,4 @@ Solution solve_exact(const Problem& p) {
     return make_solution(p, std::move(tour));
 }
 
-double exact_optimal_prize(const Problem& p) { return solve_exact(p).prize; }
-
 }  // namespace uavdc::orienteering

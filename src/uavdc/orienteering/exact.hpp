@@ -17,7 +17,4 @@ namespace uavdc::orienteering {
 /// heuristics in greedy.hpp / grasp.hpp (DESIGN.md substitution #1).
 [[nodiscard]] Solution solve_exact(const Problem& p);
 
-/// Exact optimum prize only (same DP), usable as a test oracle.
-[[nodiscard]] double exact_optimal_prize(const Problem& p);
-
 }  // namespace uavdc::orienteering

@@ -18,10 +18,7 @@ bool blank(const std::string& line) {
 JsonlSummary serve_jsonl(std::istream& in, std::ostream& out,
                          const JsonlConfig& cfg, util::ThreadPool* pool) {
     JsonlSummary summary;
-    PlanService::Config svc_cfg = cfg.service;
-    // Responses leave through response_line(); hits don't need the tree.
-    svc_cfg.wire_only_hits = true;
-    PlanService svc(svc_cfg, pool);
+    PlanService svc(cfg.service, pool);
 
     std::mutex out_mu;
     const auto write_line = [&](const io::Json& doc) {

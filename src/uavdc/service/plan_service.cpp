@@ -34,28 +34,6 @@ void fnv_int(std::uint64_t& h, std::int64_t v) {
     fnv_bytes(h, &v, sizeof(v));
 }
 
-/// Response-cache key half: planner identity + every resolved option that
-/// can change the plan. Two requests collide only when they would produce
-/// byte-identical plans.
-std::uint64_t options_fingerprint(const std::string& planner,
-                                  const core::PlannerOptions& opts) {
-    std::uint64_t h = kFnvOffset;
-    fnv_bytes(h, planner.data(), planner.size());
-    fnv_double(h, opts.delta_m);
-    fnv_int(h, opts.max_candidates);
-    fnv_int(h, opts.k);
-    fnv_int(h, opts.grasp_iterations);
-    fnv_int(h, static_cast<std::int64_t>(opts.scoring));
-    fnv_int(h, static_cast<std::int64_t>(opts.solver));
-    fnv_int(h, opts.reduction.dominance ? 1 : 0);
-    fnv_double(h, opts.reduction.dominance_radius_m);
-    fnv_double(h, opts.reduction.dominance_dwell_slack);
-    fnv_int(h, opts.reduction.coarsen_factor);
-    fnv_double(h, opts.reduction.refine_band_m);
-    fnv_int(h, opts.reduction.consolidate_to);
-    return h;
-}
-
 /// Fixed-width lowercase-hex bit pattern of a double (canonical, exact).
 std::string hex_bits(double d) {
     std::uint64_t bits = 0;
@@ -141,6 +119,12 @@ std::string canonical_options(const std::string& planner,
     return s;
 }
 
+std::uint64_t options_key(const std::string& options_canon) {
+    std::uint64_t h = kFnvOffset;
+    fnv_bytes(h, options_canon.data(), options_canon.size());
+    return h;
+}
+
 std::uint64_t instance_check_hash(const model::Instance& inst) {
     // Different seed than PlanningContext::instance_fingerprint (golden
     // ratio XOR), same content walk: a pair of instances would have to
@@ -173,7 +157,7 @@ ResponseCache::Hit ResponseCache::get(std::uint64_t key_hi,
                                       std::uint64_t key_lo,
                                       const std::string& options_canon,
                                       std::uint64_t instance_check,
-                                      bool copy_tree) {
+                                      bool /*ignored*/) {
     std::lock_guard lock(mu_);
     const auto it = entries_.find(Key{key_hi, key_lo});
     // A key match whose canon/check differs is a fingerprint collision: the
@@ -187,8 +171,7 @@ ResponseCache::Hit ResponseCache::get(std::uint64_t key_hi,
     Entry& e = it->second;
     e.last_use = ++clock_;
     ++hits_;
-    if (!copy_tree) return {true, io::Json(), e.wire};
-    return {true, e.result, e.wire};
+    return {true, e.wire};
 }
 
 std::shared_ptr<const std::string> ResponseCache::put(
@@ -199,8 +182,7 @@ std::shared_ptr<const std::string> ResponseCache::put(
     auto wire = std::make_shared<const std::string>(result.dump());
     std::lock_guard lock(mu_);
     entries_[Key{key_hi, key_lo}] =
-        Entry{std::move(options_canon), instance_check, std::move(result),
-              wire, ++clock_};
+        Entry{std::move(options_canon), instance_check, wire, ++clock_};
     if (entries_.size() > capacity_) {
         entries_.erase(std::min_element(
             entries_.begin(), entries_.end(),
@@ -561,15 +543,12 @@ PlanResponse PlanService::execute_resolved(const PlanRequest& req,
     }
     const core::PlannerOptions opts = req.overrides.resolve(cfg_.defaults);
     const std::uint64_t inst_fp = r.entry.fingerprint;
-    const std::uint64_t opts_fp = options_fingerprint(req.planner, opts);
     const std::string canon = canonical_options(req.planner, opts);
+    const std::uint64_t opts_key = options_key(canon);
     const std::uint64_t check = r.entry.check_hash;
 
-    if (auto hit = cache_.get(inst_fp, opts_fp, canon, check,
-                              /*copy_tree=*/!cfg_.wire_only_hits);
-        hit.found) {
+    if (auto hit = cache_.get(inst_fp, opts_key, canon, check); hit.found) {
         resp.cache_hit = true;
-        resp.result = std::move(hit.result);
         resp.result_wire = std::move(hit.wire);
         return resp;
     }
@@ -585,24 +564,22 @@ PlanResponse PlanService::execute_resolved(const PlanRequest& req,
         result["planner"] = planner->name();
         result["plan"] = io::to_json(res.plan);
         result["stats"] = stats_to_json(res.stats);
-        resp.result = result;
+        auto wire =
+            cache_.put(inst_fp, opts_key, canon, check, std::move(result));
         if (cfg_.store.on_response) {
-            cfg_.store.on_response(inst_fp, opts_fp, canon, check, result);
+            cfg_.store.on_response(inst_fp, opts_key, canon, check, *wire);
         }
-        resp.result_wire =
-            cache_.put(inst_fp, opts_fp, canon, check, std::move(result));
+        resp.result_wire = std::move(wire);
     } catch (const std::invalid_argument& ex) {
         // The instance is one the planner cannot take (a grid too large
         // for int cell ids): the request's fault, not the service's.
         resp.status = ResponseStatus::kBadRequest;
         resp.error = std::string("planner '") + req.planner +
                      "' rejected the instance: " + ex.what();
-        resp.result = io::Json();
     } catch (const std::exception& ex) {
         resp.status = ResponseStatus::kInternalError;
         resp.error = std::string("planner '") + req.planner +
                      "' failed: " + ex.what();
-        resp.result = io::Json();
     }
     return resp;
 }

@@ -66,12 +66,18 @@ struct ServiceStats {
 
 /// Deterministic canonical encoding of (planner name, resolved options):
 /// every option that can change a plan, doubles as fixed-width bit-pattern
-/// hex. Two requests have equal encodings iff they would plan identically,
-/// so the response cache stores it alongside the hashed key and verifies it
-/// on every hit — a 128-bit fingerprint collision then reads as a miss
-/// instead of replaying the other request's payload.
+/// hex. Two requests have equal encodings iff they would plan identically.
+/// It is the one place an option is encoded: the options half of the cache
+/// key is `options_key` of it, and the response cache stores it alongside
+/// the hashed key and verifies it on every hit — a 128-bit fingerprint
+/// collision then reads as a miss instead of replaying the other request's
+/// payload.
 [[nodiscard]] std::string canonical_options(const std::string& planner,
                                             const core::PlannerOptions& opts);
+
+/// The options half of the response-cache key: 64-bit FNV-1a of a
+/// `canonical_options` encoding.
+[[nodiscard]] std::uint64_t options_key(const std::string& options_canon);
 
 /// Second, independently-seeded content hash over exactly the instance
 /// fields `PlanningContext::instance_fingerprint` hashes. An instance pair
@@ -95,25 +101,23 @@ class ResponseCache {
 
     struct Hit {
         bool found{false};
-        io::Json result;
-        /// `result` pre-serialized with dump(); shared with the cache entry
-        /// so hot transports splice it instead of re-dumping the tree.
+        /// The result as put() dumped it, shared with the cache entry.
         std::shared_ptr<const std::string> wire;
     };
 
     /// Lookup; marks a verified hit most recently used and counts it. A key
-    /// match whose canon/check differs counts as a miss. `copy_tree` false
-    /// leaves Hit::result null and returns only the shared wire string —
-    /// the deep copy of a plan tree is the dominant cost of a hit, and
-    /// wire-only transports never look at the tree.
+    /// match whose canon/check differs counts as a miss. The trailing bool
+    /// is ignored: an entry holds only the wire string, so there is no tree
+    /// to copy. It stays so that callers written against the older
+    /// `copy_tree` form (the perfbench trace replay) still compile.
     [[nodiscard]] Hit get(std::uint64_t key_hi, std::uint64_t key_lo,
                           const std::string& options_canon,
                           std::uint64_t instance_check,
-                          bool copy_tree = true);
+                          bool /*ignored*/ = false);
 
     /// Insert or replace as most recently used, evicting the least recently
-    /// used entry past capacity. Serializes `result` once and returns the
-    /// shared wire form (the same string subsequent hits carry).
+    /// used entry past capacity. Serializes `result` once, keeps only that
+    /// string and returns it (the same string subsequent hits carry).
     std::shared_ptr<const std::string> put(std::uint64_t key_hi,
                                            std::uint64_t key_lo,
                                            std::string options_canon,
@@ -135,7 +139,6 @@ class ResponseCache {
     struct Entry {
         std::string options_canon;    ///< verified on every key match
         std::uint64_t instance_check; ///< verified on every key match
-        io::Json result;
         std::shared_ptr<const std::string> wire;  ///< result.dump(), shared
         std::uint64_t last_use;       ///< use stamp; the minimum is evicted
     };
@@ -169,9 +172,9 @@ class ResponseCache {
 /// preempted mid-run).
 ///
 /// Duplicate suppression: responses are cached by (instance fingerprint,
-/// planner, resolved options). A hit returns the byte-identical `result`
-/// payload of the original run without replanning, and costs no work per
-/// device: the instance's fingerprint and check hash are computed once,
+/// planner, resolved options). A hit returns the byte-identical
+/// `result_wire` of the original run without replanning, and costs no work
+/// per device: the instance's fingerprint and check hash are computed once,
 /// when the instance is registered, and a hit is an O(1) cache lookup.
 /// Planning itself runs against the process-wide `PlanningContext` LRU, so
 /// even cache *misses* on a known instance skip the candidate precompute.
@@ -184,16 +187,17 @@ class PlanService {
     /// Durability taps: invoked (outside the service's locks, possibly from
     /// several worker threads at once — the sink must synchronize) whenever
     /// a *new* instance is registered or a *fresh* planning result enters
-    /// the response cache. `net::Repository` appends these to its log so a
-    /// restarted process can `preload_*` them back; embedders that don't
-    /// need durability leave both empty.
+    /// the response cache. `on_response` gets the result's wire bytes, the
+    /// string the cache holds. `net::Repository` appends these to its log
+    /// so a restarted process can `preload_*` them back; embedders that
+    /// don't need durability leave both empty.
     struct StoreHooks {
         std::function<void(std::uint64_t fp, const model::Instance& inst)>
             on_instance;
         std::function<void(std::uint64_t key_hi, std::uint64_t key_lo,
                            const std::string& options_canon,
                            std::uint64_t instance_check,
-                           const io::Json& result)>
+                           const std::string& result_wire)>
             on_response;
     };
 
@@ -205,12 +209,6 @@ class PlanService {
         std::size_t instance_capacity = 256;  ///< fingerprint registry bound
         core::PlannerOptions defaults;  ///< base options requests override
         StoreHooks store;               ///< durability taps (may be empty)
-        /// Cache hits carry only `result_wire` (the pre-serialized result)
-        /// and leave `PlanResponse::result` null, skipping the deep copy of
-        /// the plan tree per hit. Transports that serialize exclusively via
-        /// `response_line` (TCP server, router, JSONL) enable this; leave
-        /// false when callbacks inspect `result` directly.
-        bool wire_only_hits = false;
     };
 
     /// `pool` == nullptr: the service owns a `util::ThreadPool` of
@@ -241,7 +239,9 @@ class PlanService {
     /// Replay-from-repository entry points: identical bookkeeping to a live
     /// registration / cache fill, but the `StoreHooks` are *not* invoked —
     /// otherwise reloading a repository would immediately re-append every
-    /// record it just read.
+    /// record it just read. A live fill keys a response by
+    /// `options_key(options_canon)`; `preload_response` takes the key as
+    /// given.
     void preload_instance(const model::Instance& inst);
     void preload_response(std::uint64_t key_hi, std::uint64_t key_lo,
                           std::string options_canon,

@@ -223,26 +223,13 @@ io::Json to_json(const PlanRequest& req) {
     return doc;
 }
 
-io::Json to_json(const PlanResponse& resp) {
-    io::Json doc;
-    doc["id"] = resp.id;
-    doc["status"] = to_string(resp.status);
-    if (!resp.error.empty()) doc["error"] = resp.error;
-    if (resp.cache_hit) doc["cache_hit"] = true;
-    if (resp.partial) doc["partial"] = true;
-    doc["queue_ms"] = resp.queue_ms;
-    doc["exec_ms"] = resp.exec_ms;
-    if (!resp.result.is_null()) doc["result"] = resp.result;
-    return doc;
-}
-
 std::string response_line(const PlanResponse& resp) {
-    if (!resp.result_wire) return to_json(resp).dump();
     // Envelope keys in the serializer's sorted order, numbers and strings
-    // rendered by the dump() primitives — byte-identical to the fallback
-    // above (ResponseLineMatchesJsonDump locks this in).
+    // rendered by the dump() primitives (ResponseLineIsItsOwnJsonDump locks
+    // this in).
     std::string out;
-    out.reserve(resp.result_wire->size() + resp.id.size() + 96);
+    out.reserve((resp.result_wire ? resp.result_wire->size() : 0) +
+                resp.id.size() + resp.error.size() + 96);
     out += '{';
     if (resp.cache_hit) out += "\"cache_hit\":true,";
     if (!resp.error.empty()) {
@@ -257,40 +244,14 @@ std::string response_line(const PlanResponse& resp) {
     if (resp.partial) out += ",\"partial\":true";
     out += ",\"queue_ms\":";
     io::Json::dump_double(out, resp.queue_ms);
-    out += ",\"result\":";
-    out += *resp.result_wire;
+    if (resp.result_wire) {
+        out += ",\"result\":";
+        out += *resp.result_wire;
+    }
     out += ",\"status\":";
     io::Json::dump_string(out, to_string(resp.status));
     out += '}';
     return out;
-}
-
-PlanResponse response_from_json(const io::Json& doc) {
-    PlanResponse resp;
-    resp.id = doc.string_or("id", "");
-    const std::string status = doc.string_or("status", "");
-    bool known = false;
-    for (ResponseStatus s :
-         {ResponseStatus::kOk, ResponseStatus::kOverloaded,
-          ResponseStatus::kDeadlineExceeded, ResponseStatus::kBadRequest,
-          ResponseStatus::kInternalError, ResponseStatus::kShutdown}) {
-        if (to_string(s) == status) {
-            resp.status = s;
-            known = true;
-            break;
-        }
-    }
-    if (!known) {
-        throw std::runtime_error("bad response: unknown status '" + status +
-                                 "'");
-    }
-    resp.error = doc.string_or("error", "");
-    resp.cache_hit = doc.bool_or("cache_hit", false);
-    resp.partial = doc.bool_or("partial", false);
-    resp.queue_ms = doc.number_or("queue_ms", 0.0);
-    resp.exec_ms = doc.number_or("exec_ms", 0.0);
-    if (doc.contains("result")) resp.result = doc.at("result");
-    return resp;
 }
 
 }  // namespace uavdc::service

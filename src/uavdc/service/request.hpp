@@ -75,16 +75,14 @@ struct PlanResponse {
     ResponseStatus status{ResponseStatus::kOk};
     std::string error;       ///< human-readable detail for non-ok statuses
     bool cache_hit{false};   ///< payload served from the response cache
-    bool partial{false};     ///< deadline expired mid-plan; `result` holds
-                             ///< the best plan produced anyway
+    bool partial{false};     ///< deadline expired mid-plan; `result_wire`
+                             ///< holds the best plan produced anyway
     double queue_ms{0.0};    ///< admission -> execution start
     double exec_ms{0.0};     ///< execution start -> response
-    io::Json result;         ///< {"instance_fingerprint","planner","plan",
-                             ///<  "stats"}; null unless ok or partial
-    /// `result` pre-serialized with dump(), shared with the response cache.
-    /// Set on every ok/partial response; transports splice it into the wire
-    /// envelope via response_line() instead of re-dumping the tree per
-    /// request (the dominant cost of a warm-cache response).
+    /// The result document {"instance_fingerprint","planner","plan","stats"}
+    /// in its one stored form: the bytes ResponseCache::put dumped, shared
+    /// with the cache entry. Set on every ok/partial response, null
+    /// otherwise; response_line() splices it into the envelope.
     std::shared_ptr<const std::string> result_wire;
 };
 
@@ -117,16 +115,12 @@ void check_request_envelope(const io::Json& doc);
                                           const std::string& key);
 [[nodiscard]] io::Json to_json(const PlanRequest& req);
 
-[[nodiscard]] io::Json to_json(const PlanResponse& resp);
-[[nodiscard]] PlanResponse response_from_json(const io::Json& doc);
-
-/// The single-line wire form of a response — byte-identical to
-/// `to_json(resp).dump()`, which is what it falls back to. When
-/// `resp.result_wire` is set the envelope is spliced around the
-/// pre-serialized result instead of deep-copying and re-dumping the tree,
-/// which is what lets a warm cache answer at transport speed. Every
-/// response serializer (JSONL, TCP server, router) goes through here so
-/// the two transports stay byte-identical by construction.
+/// The single-line wire form of a response, and the only response
+/// serializer: every transport (JSONL, TCP server, router) goes through
+/// here, so they stay byte-identical by construction. The envelope keys
+/// come in `io::Json::dump()`'s sorted order, rendered by its primitives,
+/// so the line equals `Json::parse(line).dump()`; `"result"` is spliced
+/// from `resp.result_wire` and left out when there is none.
 [[nodiscard]] std::string response_line(const PlanResponse& resp);
 
 }  // namespace uavdc::service

@@ -1,6 +1,7 @@
 #include "uavdc/util/flags.hpp"
 
 #include <cstdlib>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -35,38 +36,60 @@ Flags::Flags(int argc, const char* const* argv) {
     }
 }
 
+const std::string* Flags::find(const std::string& name) const {
+    read_.insert(name);
+    const auto it = values_.find(name);
+    return it == values_.end() ? nullptr : &it->second;
+}
+
+std::vector<std::string> Flags::unknown() const {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : values_) {
+        if (read_.count(name) == 0) out.push_back(name);
+    }
+    return out;
+}
+
+bool Flags::report_unknown(std::ostream& err) const {
+    const auto names = unknown();
+    for (const auto& name : names) {
+        if (name != "help") err << "unknown flag --" << name << "\n";
+    }
+    return !names.empty();
+}
+
 bool Flags::has(const std::string& name) const {
-    return values_.count(name) > 0;
+    return find(name) != nullptr;
 }
 
 std::string Flags::get_string(const std::string& name,
                               const std::string& fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* v = find(name);
+    return v == nullptr ? fallback : *v;
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return fallback;
-    return std::stod(it->second);
+    const std::string* v = find(name);
+    if (v == nullptr || v->empty()) return fallback;
+    return std::stod(*v);
 }
 
 int Flags::get_int(const std::string& name, int fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return fallback;
-    return std::stoi(it->second);
+    const std::string* v = find(name);
+    if (v == nullptr || v->empty()) return fallback;
+    return std::stoi(*v);
 }
 
 long long Flags::get_int64(const std::string& name, long long fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return fallback;
-    return std::stoll(it->second);
+    const std::string* v = find(name);
+    if (v == nullptr || v->empty()) return fallback;
+    return std::stoll(*v);
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    const std::string& v = it->second;
+    const std::string* found = find(name);
+    if (found == nullptr) return fallback;
+    const std::string& v = *found;
     if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on") {
         return true;
     }
@@ -76,10 +99,10 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
 
 std::vector<double> Flags::get_double_list(
     const std::string& name, std::vector<double> fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return fallback;
+    const std::string* v = find(name);
+    if (v == nullptr || v->empty()) return fallback;
     std::vector<double> out;
-    std::stringstream ss(it->second);
+    std::stringstream ss(*v);
     std::string tok;
     while (std::getline(ss, tok, ',')) {
         if (!tok.empty()) out.push_back(std::stod(tok));
@@ -89,10 +112,10 @@ std::vector<double> Flags::get_double_list(
 
 std::vector<int> Flags::get_int_list(const std::string& name,
                                      std::vector<int> fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return fallback;
+    const std::string* v = find(name);
+    if (v == nullptr || v->empty()) return fallback;
     std::vector<int> out;
-    std::stringstream ss(it->second);
+    std::stringstream ss(*v);
     std::string tok;
     while (std::getline(ss, tok, ',')) {
         if (!tok.empty()) out.push_back(std::stoi(tok));

@@ -1,15 +1,18 @@
 #pragma once
 
+#include <iosfwd>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace uavdc::util {
 
-/// Tiny command-line flag parser for the bench/example binaries.
+/// Tiny command-line flag parser for the CLI and the bench/example binaries.
 /// Accepts `--name=value`, `--name value`, and bare boolean `--name`.
-/// Unknown flags are collected (and reported by `unknown()`), positional
-/// arguments preserved in order.
+/// Every getter (and `has`) records the name it asked for; `unknown()` then
+/// reports the flags given that nothing asked for. Positional arguments are
+/// preserved in order.
 class Flags {
   public:
     Flags(int argc, const char* const* argv);
@@ -41,10 +44,24 @@ class Flags {
 
     [[nodiscard]] const std::string& program() const { return program_; }
 
+    /// Names of the flags given on the command line that no getter or
+    /// `has` has asked for so far, sorted. A program calls this once it
+    /// has read every flag it takes: what is left is a typo (or `--help`).
+    [[nodiscard]] std::vector<std::string> unknown() const;
+
+    /// Writes "unknown flag --NAME" to `err` for each `unknown()` name but
+    /// `help`, and returns true when `unknown()` is non-empty (`--help`
+    /// included): the caller then prints its usage and exits 2.
+    [[nodiscard]] bool report_unknown(std::ostream& err) const;
+
   private:
+    /// The value of --name, recording that it was asked for.
+    [[nodiscard]] const std::string* find(const std::string& name) const;
+
     std::string program_;
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;
+    mutable std::set<std::string> read_;
 };
 
 }  // namespace uavdc::util

@@ -566,7 +566,7 @@ TEST(ResponseCacheCollision, KeyMatchWithDifferentOptionsIsMiss) {
 
     const auto hit = cache.get(0xdeadbeefull, 0x1234ull, "opts-a", 111);
     ASSERT_TRUE(hit.found);
-    EXPECT_EQ(hit.result.at("tag").as_string(), "a");
+    EXPECT_EQ(io::Json::parse(*hit.wire).at("tag").as_string(), "a");
 }
 
 TEST(ResponseCacheCollision, KeyMatchWithDifferentInstanceIsMiss) {
@@ -583,7 +583,7 @@ TEST(ResponseCacheCollision, KeyMatchWithDifferentInstanceIsMiss) {
     const auto b = cache.get(7, 9, "opts", 2002);
     EXPECT_FALSE(a.found) << "shadowed collider must miss, not cross-replay";
     ASSERT_TRUE(b.found);
-    EXPECT_EQ(b.result.at("tag").as_string(), "second");
+    EXPECT_EQ(io::Json::parse(*b.wire).at("tag").as_string(), "second");
 }
 
 TEST(ResponseCacheCollision, CanonicalOptionsSeparateReductionConfigs) {

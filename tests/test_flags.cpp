@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 namespace uavdc::util {
@@ -73,6 +74,27 @@ TEST(Flags, NegativeNumberValueViaEquals) {
 TEST(Flags, LastValueWins) {
     const auto f = make({"--n=1", "--n=2"});
     EXPECT_EQ(f.get_int("n", 0), 2);
+}
+
+TEST(Flags, UnknownReportsFlagsNoGetterRead) {
+    const auto f = make({"--reduce-bnad=40", "--delta=5", "--help", "--full",
+                         "--deltas=1,2", "pos"});
+    EXPECT_EQ(f.unknown(), (std::vector<std::string>{
+                               "delta", "deltas", "full", "help",
+                               "reduce-bnad"}));
+    (void)f.get_double("delta", 0.0);
+    (void)f.has("full");
+    (void)f.get_double_list("deltas", {});
+    (void)f.get_int("absent", 0);  // asking for an absent flag is fine
+    EXPECT_EQ(f.unknown(),
+              (std::vector<std::string>{"help", "reduce-bnad"}));
+    std::ostringstream err;
+    EXPECT_TRUE(f.report_unknown(err));
+    EXPECT_EQ(err.str(), "unknown flag --reduce-bnad\n");  // --help: usage only
+    (void)f.get_string("help", "");
+    (void)f.get_int("reduce-bnad", 0);
+    EXPECT_TRUE(f.unknown().empty());
+    EXPECT_FALSE(f.report_unknown(err));
 }
 
 }  // namespace

@@ -118,30 +118,6 @@ TEST(CheapestInsertion, PicksBestEdge) {
     EXPECT_GT(far.delta, 10.0);
 }
 
-TEST(RemovalDelta, InverseOfInsertion) {
-    const auto pts = random_points(10, 12);
-    const DenseGraph g = DenseGraph::euclidean(pts);
-    std::vector<std::size_t> tour{0, 1, 2, 3, 4, 5};
-    const double len = g.tour_length(tour);
-    for (std::size_t pos = 0; pos < tour.size(); ++pos) {
-        std::vector<std::size_t> without = tour;
-        without.erase(without.begin() + static_cast<std::ptrdiff_t>(pos));
-        EXPECT_NEAR(g.tour_length(without), len + removal_delta(g, tour, pos),
-                    1e-9)
-            << "pos " << pos;
-    }
-}
-
-TEST(RemovalDelta, NonPositiveOnMetricGraphs) {
-    const auto pts = random_points(15, 13);
-    const DenseGraph g = DenseGraph::euclidean(pts);
-    std::vector<std::size_t> tour(10);
-    std::iota(tour.begin(), tour.end(), std::size_t{0});
-    for (std::size_t pos = 0; pos < tour.size(); ++pos) {
-        EXPECT_LE(removal_delta(g, tour, pos), 1e-12);
-    }
-}
-
 TEST(NeighborLists, OrderedByWeightThenIndex) {
     const auto pts = random_points(40, 31);
     const DenseGraph g = DenseGraph::euclidean(pts);
@@ -287,14 +263,6 @@ TEST(OrOptNeighbors, NeverLengthensKeepsSetAndAnchor) {
         EXPECT_EQ(s.size(), pts.size());
         EXPECT_EQ(tour.front(), 0u);
     }
-}
-
-TEST(RemovalDelta, PairTour) {
-    DenseGraph g(2);
-    g.set_weight(0, 1, 5.0);
-    const std::vector<std::size_t> tour{0, 1};
-    EXPECT_DOUBLE_EQ(removal_delta(g, tour, 0), -10.0);
-    EXPECT_DOUBLE_EQ(removal_delta(g, tour, 1), -10.0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <map>
 #include <memory>
@@ -483,6 +484,26 @@ TEST(NetRouter, ResumesFramesParkedBehindWriteQueueLimit) {
     resumes_frames_parked_behind_write_queue_limit(Role::kRouter);
 }
 
+/// The response line with what legitimately differs between a miss and its
+/// replayed hit blanked: the cache flag and the timings.
+std::string line_without_hit_and_timings(service::PlanResponse resp) {
+    resp.cache_hit = false;
+    resp.queue_ms = 0.0;
+    resp.exec_ms = 0.0;
+    return service::response_line(resp);
+}
+
+service::PlanResponse submit_and_wait(service::PlanService& svc,
+                                      service::PlanRequest req) {
+    std::promise<service::PlanResponse> done;
+    svc.submit(std::move(req), [&](service::PlanResponse resp) {
+        done.set_value(std::move(resp));
+    });
+    auto resp = done.get_future().get();
+    svc.drain();
+    return resp;
+}
+
 TEST(NetRepository, ReloadReproducesByteIdenticalResponses) {
     const std::string path =
         ::testing::TempDir() + "uavdc_repo_reload.jsonl";
@@ -494,28 +515,41 @@ TEST(NetRepository, ReloadReproducesByteIdenticalResponses) {
     cfg.workers = 2;
     cfg.defaults = fast_options();
 
-    std::string first;
+    service::PlanRequest by_ref;
+    by_ref.id = "a";
+    by_ref.planner = "alg2";
+    by_ref.instance_ref = fp;
+
+    service::PlanResponse miss;
     {
         Repository repo(path);
         auto store_cfg = cfg;
         store_cfg.store = repo.hooks();
         service::PlanService svc(store_cfg);
-        std::promise<std::string> done;
-        service::PlanRequest req;
-        req.id = "a";
-        req.planner = "alg2";
+        auto req = by_ref;
+        req.instance_ref.reset();
         req.instance = inst;
-        svc.submit(std::move(req), [&](service::PlanResponse resp) {
-            done.set_value(service::to_json(resp).at("result").dump());
-        });
-        first = done.get_future().get();
-        svc.drain();
+        miss = submit_and_wait(svc, std::move(req));
+        ASSERT_EQ(miss.status, service::ResponseStatus::kOk) << miss.error;
+        ASSERT_FALSE(miss.cache_hit);
         EXPECT_EQ(repo.appended(), 2u);  // instance + response
+    }
+
+    // The spliced log lines are the documents the format names.
+    {
+        std::ifstream in(path);
+        std::string line;
+        int lines = 0;
+        while (std::getline(in, line)) {
+            ++lines;
+            EXPECT_EQ(io::Json::parse(line).dump(), line);
+        }
+        EXPECT_EQ(lines, 2);
     }
 
     // A fresh process: reload, then serve the same request by reference
     // only. The instance resolves from the repository and the response is
-    // a byte-identical cache hit.
+    // a cache hit whose line equals the miss's.
     {
         Repository repo(path);
         service::PlanService svc(cfg);
@@ -524,20 +558,70 @@ TEST(NetRepository, ReloadReproducesByteIdenticalResponses) {
         EXPECT_EQ(loaded.responses, 1u);
         EXPECT_EQ(loaded.skipped, 0u);
 
-        std::promise<service::PlanResponse> done;
-        service::PlanRequest req;
-        req.id = "b";
-        req.planner = "alg2";
-        req.instance_ref = fp;
-        svc.submit(std::move(req), [&](service::PlanResponse resp) {
-            done.set_value(std::move(resp));
-        });
-        const auto resp = done.get_future().get();
-        svc.drain();
-        EXPECT_EQ(resp.status, service::ResponseStatus::kOk);
-        EXPECT_TRUE(resp.cache_hit);
-        EXPECT_EQ(service::to_json(resp).at("result").dump(), first);
+        const auto hit = submit_and_wait(svc, by_ref);
+        EXPECT_EQ(hit.status, service::ResponseStatus::kOk);
+        EXPECT_TRUE(hit.cache_hit);
+        EXPECT_EQ(svc.stats().cache_misses, 0u);
+        EXPECT_EQ(line_without_hit_and_timings(hit),
+                  line_without_hit_and_timings(miss));
     }
+    std::remove(path.c_str());
+}
+
+TEST(NetRepository, OlderOptionsKeyInTheLogStillReplaysAsAHit) {
+    // A log written before the options key was derived from the canonical
+    // options string: its `key_lo` is the older field-by-field hash. Load
+    // rekeys the entry from `canon`, so the by-ref request below is a hit
+    // that serves the logged result bytes.
+    const std::string dir = UAVDC_SOURCE_DIR "/tests/data/";
+    const std::string path =
+        ::testing::TempDir() + "uavdc_repo_older_key.jsonl";
+    {
+        std::ifstream src(dir + "repository_older_options_key.jsonl");
+        ASSERT_TRUE(src.good());
+        std::ofstream dst(path, std::ios::trunc);
+        dst << src.rdbuf();
+    }
+    std::string logged_result;
+    std::uint64_t instance_fp = 0;
+    {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line)) {
+            const auto doc = io::Json::parse(line);
+            if (doc.at("type").as_string() == "instance") {
+                instance_fp = service::fingerprint_from_hex(
+                    doc.at("fp").as_string());
+                continue;
+            }
+            // The fixture really carries a key this build does not compute.
+            EXPECT_NE(service::fingerprint_from_hex(
+                          doc.at("key_lo").as_string()),
+                      service::options_key(doc.at("canon").as_string()));
+            logged_result = doc.at("result").dump();
+        }
+    }
+    ASSERT_NE(instance_fp, 0u);
+    ASSERT_FALSE(logged_result.empty());
+
+    service::PlanService::Config cfg;
+    cfg.workers = 1;
+    service::PlanService svc(cfg);
+    Repository repo(path);
+    const auto loaded = repo.load(svc);
+    EXPECT_EQ(loaded.instances, 1u);
+    EXPECT_EQ(loaded.responses, 1u);
+    EXPECT_EQ(loaded.skipped, 0u);
+
+    service::PlanRequest req;
+    req.id = "older";
+    req.planner = "alg2";
+    req.instance_ref = instance_fp;
+    const auto hit = submit_and_wait(svc, req);
+    ASSERT_EQ(hit.status, service::ResponseStatus::kOk) << hit.error;
+    EXPECT_TRUE(hit.cache_hit);
+    ASSERT_NE(hit.result_wire, nullptr);
+    EXPECT_EQ(*hit.result_wire, logged_result);
     std::remove(path.c_str());
 }
 
@@ -602,7 +686,7 @@ TEST(NetRouter, StaticModeResendsPendingExactlyOnce) {
             resp.id = io::Json::parse(f->payload).at("id").as_string();
             resp.status = service::ResponseStatus::kOk;
             (void)conn->write_all(
-                encode_frame(service::to_json(resp).dump(), true));
+                encode_frame(service::response_line(resp), true));
             // Hold the connection open until the router drains.
             while (conn->read_some(buf, sizeof(buf)).status ==
                    IoStatus::kOk) {

@@ -7,6 +7,7 @@
 #include <future>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -51,6 +52,12 @@ std::string result_key(const io::Json& result) {
     key["iterations"] = stats.at("iterations");
     key["candidates"] = stats.at("candidates");
     return key.dump();
+}
+
+/// `result_key` of a response's one stored result form, its wire bytes.
+std::string result_key(const PlanResponse& resp) {
+    if (!resp.result_wire) return "<no result>";
+    return result_key(io::Json::parse(*resp.result_wire));
 }
 
 /// The same plan computed straight through the registry — the reference the
@@ -150,24 +157,6 @@ TEST(ServiceRequest, MalformedRequestsThrow) {
                  std::runtime_error);
 }
 
-TEST(ServiceRequest, ResponseRoundTrip) {
-    PlanResponse resp;
-    resp.id = "r1";
-    resp.status = ResponseStatus::kDeadlineExceeded;
-    resp.error = "deadline expired";
-    resp.partial = true;
-    resp.queue_ms = 1.5;
-    resp.exec_ms = 2.5;
-    const PlanResponse back = response_from_json(to_json(resp));
-    EXPECT_EQ(back.id, "r1");
-    EXPECT_EQ(back.status, ResponseStatus::kDeadlineExceeded);
-    EXPECT_EQ(back.error, "deadline expired");
-    EXPECT_TRUE(back.partial);
-    EXPECT_FALSE(back.cache_hit);
-    EXPECT_EQ(back.queue_ms, 1.5);
-    EXPECT_EQ(back.exec_ms, 2.5);
-}
-
 TEST(Service, ExecuteMatchesDirectRegistryCall) {
     const auto inst = uavdc::testing::small_instance(20, 260.0, 41);
     PlanService::Config cfg;
@@ -179,7 +168,7 @@ TEST(Service, ExecuteMatchesDirectRegistryCall) {
         const PlanResponse resp =
             svc.execute(make_request("x-" + planner, planner, inst));
         ASSERT_EQ(resp.status, ResponseStatus::kOk) << resp.error;
-        EXPECT_EQ(result_key(resp.result),
+        EXPECT_EQ(result_key(resp),
                   direct_key(inst, planner, cfg.defaults));
     }
 }
@@ -198,9 +187,9 @@ TEST(Service, PerRequestOverridesChangeTheResolvedOptions) {
 
     core::PlannerOptions coarse = cfg.defaults;
     coarse.delta_m = 60.0;
-    EXPECT_EQ(result_key(resp.result), direct_key(inst, "alg2", coarse));
+    EXPECT_EQ(result_key(resp), direct_key(inst, "alg2", coarse));
     // And it is genuinely different from the default-options plan.
-    EXPECT_NE(result_key(resp.result),
+    EXPECT_NE(result_key(resp),
               direct_key(inst, "alg2", cfg.defaults));
 }
 
@@ -279,7 +268,7 @@ TEST(Service, ConcurrentResponsesBitIdenticalToSerialExecution) {
                         ASSERT_EQ(resp.status, ResponseStatus::kOk)
                             << resp.error;
                         std::lock_guard lock(mu);
-                        keys[resp.id] = result_key(resp.result);
+                        keys[resp.id] = result_key(resp);
                     });
             }
         }
@@ -314,7 +303,7 @@ TEST(Service, CacheHitPayloadEqualsMissPayload) {
     ASSERT_EQ(hit.status, ResponseStatus::kOk) << hit.error;
     EXPECT_TRUE(hit.cache_hit);
     // Byte-identical payload, not merely equivalent.
-    EXPECT_EQ(hit.result.dump(), miss.result.dump());
+    EXPECT_EQ(*hit.result_wire, *miss.result_wire);
 
     const ServiceStats stats = svc.stats();
     EXPECT_EQ(stats.cache_hits, 1u);
@@ -359,7 +348,7 @@ TEST(Service, QueueFullRejectionsAreWellFormed) {
         EXPECT_EQ(responses[0].id, "q2");
         EXPECT_EQ(responses[0].status, ResponseStatus::kOverloaded);
         EXPECT_NE(responses[0].error.find("queue full"), std::string::npos);
-        EXPECT_TRUE(responses[0].result.is_null());
+        EXPECT_EQ(responses[0].result_wire, nullptr);
     }
 
     gate.set_value();
@@ -411,7 +400,7 @@ TEST(Service, DeadlineExpiredInQueueIsWellFormed) {
     EXPECT_EQ(responses[0].status, ResponseStatus::kDeadlineExceeded);
     EXPECT_NE(responses[0].error.find("deadline"), std::string::npos);
     EXPECT_FALSE(responses[0].partial);
-    EXPECT_TRUE(responses[0].result.is_null());
+    EXPECT_EQ(responses[0].result_wire, nullptr);
     EXPECT_GE(responses[0].queue_ms, 1.0);
     EXPECT_EQ(svc.stats().deadline_exceeded, 1u);
     svc.shutdown();
@@ -678,7 +667,7 @@ TEST(Service, ExternalPoolShutdownAnswersInsteadOfHangingDrain) {
             called = true;
             EXPECT_EQ(resp.id, "x");
             EXPECT_EQ(resp.status, ResponseStatus::kShutdown);
-            EXPECT_TRUE(resp.result.is_null());
+            EXPECT_EQ(resp.result_wire, nullptr);
         });
     // Regression: the request used to stay queued with no ticket and no
     // callback, hanging drain(); now it is un-admitted and answered.
@@ -730,7 +719,7 @@ TEST(Service, InlineInstanceRegistersForLaterRefs) {
         core::PlanningContext::instance_fingerprint(inst);
     const PlanResponse second = svc.execute(by_ref);
     ASSERT_EQ(second.status, ResponseStatus::kOk) << second.error;
-    EXPECT_EQ(result_key(second.result),
+    EXPECT_EQ(result_key(second),
               direct_key(inst, "benchmark", cfg.defaults));
 }
 
@@ -988,9 +977,20 @@ TEST(Service, OutOfRangeWorkMultipliersAreBadRequests) {
     EXPECT_EQ(summary.stats.internal_errors, 0u);
 }
 
-TEST(Service, ResponseLineMatchesJsonDump) {
-    // The spliced fast path must stay byte-identical with the tree dump —
-    // both transports and the repository reload depend on it.
+/// `response_line` is the one response serializer: its bytes must be the
+/// io::Json dump of the document they parse to, or a client that re-dumps
+/// a response (and the golden check) would see other bytes.
+void expect_line_is_its_own_dump(const PlanResponse& resp) {
+    const std::string line = response_line(resp);
+    const io::Json doc = io::Json::parse(line);
+    EXPECT_EQ(doc.dump(), line);
+    EXPECT_EQ(doc.at("id").as_string(), resp.id);
+    EXPECT_EQ(doc.at("status").as_string(), to_string(resp.status));
+    EXPECT_EQ(doc.contains("result"), resp.result_wire != nullptr);
+    if (resp.result_wire) EXPECT_EQ(doc.at("result").dump(), *resp.result_wire);
+}
+
+TEST(Service, ResponseLineIsItsOwnJsonDump) {
     const auto inst = uavdc::testing::small_instance(12, 200.0, 23);
     PlanService::Config cfg;
     cfg.workers = 2;
@@ -1001,34 +1001,41 @@ TEST(Service, ResponseLineMatchesJsonDump) {
     req.id = "line-check \"quoted\"\n";  // exercises escaping in the id
     req.planner = "alg2";
     req.instance = inst;
+    std::shared_ptr<const std::string> wire;
     for (int pass = 0; pass < 2; ++pass) {  // fresh result, then cache hit
         std::promise<PlanResponse> done;
         svc.submit(req, [&](PlanResponse resp) {
             done.set_value(std::move(resp));
         });
-        PlanResponse resp = done.get_future().get();
+        const PlanResponse resp = done.get_future().get();
         ASSERT_EQ(resp.status, ResponseStatus::kOk);
         EXPECT_EQ(resp.cache_hit, pass == 1);
         ASSERT_NE(resp.result_wire, nullptr);
-        EXPECT_EQ(response_line(resp), to_json(resp).dump());
-        // Timing fields land in the line with full precision.
-        resp.queue_ms = 0.1234567890123;
-        resp.exec_ms = 3.0;
-        EXPECT_EQ(response_line(resp), to_json(resp).dump());
-        // Error/partial envelopes splice identically too.
-        resp.partial = true;
-        resp.error = "late\tplan";
-        EXPECT_EQ(response_line(resp), to_json(resp).dump());
+        expect_line_is_its_own_dump(resp);
+        wire = resp.result_wire;
     }
     svc.drain();
 
-    // Responses without a pre-serialized result fall back to the dump.
-    PlanResponse bad;
-    bad.id = "nope";
-    bad.status = ResponseStatus::kBadRequest;
-    bad.error = "unknown planner";
-    EXPECT_EQ(bad.result_wire, nullptr);
-    EXPECT_EQ(response_line(bad), to_json(bad).dump());
+    // Every status, with every cache_hit/partial/error mix, with and
+    // without a result; timing fields land with full precision.
+    for (const ResponseStatus status :
+         {ResponseStatus::kOk, ResponseStatus::kOverloaded,
+          ResponseStatus::kDeadlineExceeded, ResponseStatus::kBadRequest,
+          ResponseStatus::kInternalError, ResponseStatus::kShutdown}) {
+        for (int mix = 0; mix < 16; ++mix) {
+            PlanResponse resp;
+            resp.id = "mix-" + std::to_string(mix) + "\té";
+            resp.status = status;
+            resp.cache_hit = (mix & 1) != 0;
+            resp.partial = (mix & 2) != 0;
+            if (mix & 4) resp.error = "late\tplan \"x\"\x01";
+            if (mix & 8) resp.result_wire = wire;
+            resp.queue_ms = 0.1234567890123 * mix;
+            resp.exec_ms = 3.0 + mix;
+            SCOPED_TRACE(to_string(status) + " mix " + std::to_string(mix));
+            expect_line_is_its_own_dump(resp);
+        }
+    }
 }
 
 // --- Hits verify against the hashes stored at registration.
@@ -1039,7 +1046,7 @@ struct StoredResponse {
     std::uint64_t key_lo{0};
     std::string canon;
     std::uint64_t check{0};
-    io::Json result;
+    std::string wire;
 };
 
 /// Plan `inst` once on a clean service and capture the record its
@@ -1052,8 +1059,8 @@ StoredResponse clean_record(const model::Instance& inst,
     StoredResponse rec;
     cfg.store.on_response = [&](std::uint64_t hi, std::uint64_t lo,
                                 const std::string& canon, std::uint64_t check,
-                                const io::Json& result) {
-        rec = {hi, lo, canon, check, result};
+                                const std::string& wire) {
+        rec = {hi, lo, canon, check, wire};
     };
     PlanService svc(cfg);
     EXPECT_EQ(svc.execute(make_request("clean", planner, inst)).status,
@@ -1090,14 +1097,14 @@ void expect_forged_entry_misses(const model::Instance& inst,
     const PlanResponse miss = svc.execute(by_ref("a", "alg2", inst));
     ASSERT_EQ(miss.status, ResponseStatus::kOk) << miss.error;
     EXPECT_FALSE(miss.cache_hit);
-    EXPECT_EQ(result_key(miss.result), result_key(clean.result));
+    EXPECT_EQ(result_key(miss), result_key(io::Json::parse(clean.wire)));
     EXPECT_EQ(svc.stats().cache_misses, 1u);
     EXPECT_EQ(svc.stats().cache_hits, 0u);
 
     const PlanResponse hit = svc.execute(by_ref("b", "alg2", inst));
     ASSERT_EQ(hit.status, ResponseStatus::kOk) << hit.error;
     EXPECT_TRUE(hit.cache_hit);
-    EXPECT_EQ(hit.result.dump(), miss.result.dump());
+    EXPECT_EQ(*hit.result_wire, *miss.result_wire);
 }
 
 TEST(Service, ByRefHitWithWrongInstanceCheckReplans) {
@@ -1121,12 +1128,12 @@ TEST(Service, PreloadedInstanceAndResponseServeAByRefHit) {
     PlanService svc(cfg);
     svc.preload_instance(inst);
     svc.preload_response(clean.key_hi, clean.key_lo, clean.canon,
-                         clean.check, clean.result);
+                         clean.check, io::Json::parse(clean.wire));
 
     const PlanResponse resp = svc.execute(by_ref("r", "alg2", inst));
     ASSERT_EQ(resp.status, ResponseStatus::kOk) << resp.error;
     EXPECT_TRUE(resp.cache_hit);
-    EXPECT_EQ(resp.result.dump(), clean.result.dump());
+    EXPECT_EQ(*resp.result_wire, clean.wire);
     EXPECT_EQ(svc.stats().cache_misses, 0u);
 }
 
@@ -1163,8 +1170,8 @@ TEST(Service, QueuedInlineRequestKeepsItsSubmitTimeRegistration) {
     EXPECT_EQ(registrations, 2);
     ASSERT_EQ(out[0].status, ResponseStatus::kOk) << out[0].error;
     ASSERT_EQ(out[1].status, ResponseStatus::kOk) << out[1].error;
-    EXPECT_EQ(result_key(out[0].result), direct_key(a, "alg2", cfg.defaults));
-    EXPECT_EQ(result_key(out[1].result), direct_key(b, "alg2", cfg.defaults));
+    EXPECT_EQ(result_key(out[0]), direct_key(a, "alg2", cfg.defaults));
+    EXPECT_EQ(result_key(out[1]), direct_key(b, "alg2", cfg.defaults));
 }
 
 // --- Response cache index: exact LRU, replace on re-put, thread safety.
@@ -1176,7 +1183,7 @@ io::Json tagged(const std::string& tag) {
 }
 
 std::string tag_of(const ResponseCache::Hit& hit) {
-    return hit.result.at("tag").as_string();
+    return io::Json::parse(*hit.wire).at("tag").as_string();
 }
 
 TEST(ServiceResponseCache, GetRefreshesRecencyForEviction) {

@@ -10,7 +10,9 @@
 //   uavdc render   --instance=instance.json [--plan=plan.json]
 //                  --out=field.svg
 //
-// Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
+// Exit code 0 on success, 1 on a missing command or required flag, 2 on an
+// unknown flag (`--help` included: usage goes to stderr) or a runtime
+// failure.
 
 #include <fstream>
 #include <iostream>
@@ -89,6 +91,15 @@ int usage() {
     return 1;
 }
 
+/// Every verb calls this once it has read all of its flags and before it
+/// does any work: a flag that no getter read (a typo, or --help) gets the
+/// usage text and exit code 2 instead of being ignored.
+bool flags_ok(const util::Flags& flags) {
+    if (!flags.report_unknown(std::cerr)) return true;
+    usage();
+    return false;
+}
+
 workload::GeneratorConfig preset_by_name(const std::string& name) {
     if (name == "paper") return workload::paper_default();
     if (name == "smart-city") return workload::smart_city();
@@ -122,13 +133,14 @@ int cmd_generate(const util::Flags& flags) {
     if (flags.has("energy")) {
         cfg.uav.energy_j = flags.get_double("energy", cfg.uav.energy_j);
     }
-    const auto inst = workload::generate(
-        cfg, static_cast<std::uint64_t>(flags.get_int64("seed", 1)));
+    const auto seed = static_cast<std::uint64_t>(flags.get_int64("seed", 1));
     const std::string out = flags.get_string("out", "");
+    if (!flags_ok(flags)) return 2;
     if (out.empty()) {
         std::cerr << "generate: --out is required\n";
         return 1;
     }
+    const auto inst = workload::generate(cfg, seed);
     io::save_instance(out, inst);
     std::cout << "wrote " << out << ": " << inst.num_devices()
               << " devices, "
@@ -138,7 +150,7 @@ int cmd_generate(const util::Flags& flags) {
 }
 
 int cmd_plan(const util::Flags& flags) {
-    const auto inst = io::load_instance(flags.get_string("instance", ""));
+    const std::string instance_path = flags.get_string("instance", "");
     core::PlannerOptions opts;
     opts.delta_m = flags.get_double("delta", opts.delta_m);
     opts.k = flags.get_int("k", opts.k);
@@ -154,8 +166,11 @@ int cmd_plan(const util::Flags& flags) {
             "' (expected incremental|incremental-fast|reference)");
     }
     apply_reduction_flags(flags, opts);
-    auto planner =
-        core::make_planner(flags.get_string("algo", "alg3"), opts);
+    const std::string algo = flags.get_string("algo", "alg3");
+    const std::string out = flags.get_string("out", "");
+    if (!flags_ok(flags)) return 2;
+    const auto inst = io::load_instance(instance_path);
+    auto planner = core::make_planner(algo, opts);
     // Shared precompute: repeated plans of the same instance (any algo with
     // matching grid options) reuse the cached candidate set.
     const auto ctx = core::PlanningContext::obtain(inst, opts.hover_config());
@@ -172,7 +187,6 @@ int cmd_plan(const util::Flags& flags) {
               << util::Table::fmt(ev.energy_j, 0) << " / "
               << util::Table::fmt(inst.uav.energy_j, 0) << " J, planned in "
               << util::Table::fmt(res.stats.runtime_s * 1e3, 1) << " ms\n";
-    const std::string out = flags.get_string("out", "");
     if (!out.empty()) {
         io::save_plan(out, res.plan);
         std::cout << "wrote " << out << "\n";
@@ -181,11 +195,15 @@ int cmd_plan(const util::Flags& flags) {
 }
 
 int cmd_eval(const util::Flags& flags) {
-    const auto inst = io::load_instance(flags.get_string("instance", ""));
-    const auto plan = io::load_plan(flags.get_string("plan", ""));
+    const std::string instance_path = flags.get_string("instance", "");
+    const std::string plan_path = flags.get_string("plan", "");
+    const bool json = flags.get_bool("json", false);
+    if (!flags_ok(flags)) return 2;
+    const auto inst = io::load_instance(instance_path);
+    const auto plan = io::load_plan(plan_path);
     const auto ev = core::evaluate_plan(inst, plan);
     const auto m = core::compute_metrics(inst, plan);
-    if (flags.get_bool("json", false)) {
+    if (json) {
         io::Json doc = io::to_json(ev);
         doc["jain_fairness"] = m.jain_fairness;
         doc["hover_fraction"] = m.hover_fraction;
@@ -221,10 +239,13 @@ int cmd_eval(const util::Flags& flags) {
 }
 
 int cmd_sim(const util::Flags& flags) {
-    const auto inst = io::load_instance(flags.get_string("instance", ""));
-    const auto plan = io::load_plan(flags.get_string("plan", ""));
+    const std::string instance_path = flags.get_string("instance", "");
+    const std::string plan_path = flags.get_string("plan", "");
     sim::SimConfig cfg;
     cfg.record_trace = flags.get_bool("trace", false);
+    if (!flags_ok(flags)) return 2;
+    const auto inst = io::load_instance(instance_path);
+    const auto plan = io::load_plan(plan_path);
     const auto rep = sim::Simulator(cfg).run(inst, plan);
     std::cout << (rep.completed ? "tour completed" : "TOUR TRUNCATED")
               << (rep.battery_depleted ? " (battery depleted)" : "") << "\n"
@@ -246,8 +267,11 @@ int cmd_sim(const util::Flags& flags) {
 }
 
 int cmd_validate(const util::Flags& flags) {
-    const auto inst = io::load_instance(flags.get_string("instance", ""));
-    const auto plan = io::load_plan(flags.get_string("plan", ""));
+    const std::string instance_path = flags.get_string("instance", "");
+    const std::string plan_path = flags.get_string("plan", "");
+    if (!flags_ok(flags)) return 2;
+    const auto inst = io::load_instance(instance_path);
+    const auto plan = io::load_plan(plan_path);
     const auto val = core::validate_plan(inst, plan);
     for (const auto& v : val.errors) {
         std::cout << "ERROR   [" << core::to_string(v.kind) << "] stop "
@@ -266,7 +290,7 @@ int cmd_validate(const util::Flags& flags) {
 }
 
 int cmd_compare(const util::Flags& flags) {
-    const auto inst = io::load_instance(flags.get_string("instance", ""));
+    const std::string instance_path = flags.get_string("instance", "");
     core::PlannerOptions opts;
     opts.delta_m = flags.get_double("delta", opts.delta_m);
     opts.k = flags.get_int("k", opts.k);
@@ -278,11 +302,14 @@ int cmd_compare(const util::Flags& flags) {
             if (!tok.empty()) names.push_back(tok);
         }
     }
+    const bool json = flags.get_bool("json", false);
+    if (!flags_ok(flags)) return 2;
+    const auto inst = io::load_instance(instance_path);
     // Planners fan out across the process-wide pool — the same workers the
     // planners' own parallel_for uses, so no extra threads are spawned.
     const auto results =
         core::compare_planners(inst, opts, names, &util::global_pool());
-    if (flags.get_bool("json", false)) {
+    if (json) {
         io::Json::Array arr;
         for (const auto& r : results) {
             io::Json row = io::to_json(r.evaluation);
@@ -313,13 +340,16 @@ int cmd_compare(const util::Flags& flags) {
 }
 
 int cmd_robustness(const util::Flags& flags) {
-    const auto inst = io::load_instance(flags.get_string("instance", ""));
-    const auto plan = io::load_plan(flags.get_string("plan", ""));
+    const std::string instance_path = flags.get_string("instance", "");
+    const std::string plan_path = flags.get_string("plan", "");
     sim::DisturbanceModel model;
     model.wind_max_mps = flags.get_double("wind-max", model.wind_max_mps);
     model.taper_max = flags.get_double("taper-max", model.taper_max);
     model.early_departure = flags.get_bool("early-departure", false);
     const int trials = flags.get_int("trials", 64);
+    if (!flags_ok(flags)) return 2;
+    const auto inst = io::load_instance(instance_path);
+    const auto plan = io::load_plan(plan_path);
     const auto rep = sim::evaluate_robustness(inst, plan, model, trials);
     util::Table t({"metric", "value"});
     t.add_row({"trials", std::to_string(rep.trials)});
@@ -357,6 +387,7 @@ int cmd_conformance(const util::Flags& flags) {
             if (!tok.empty()) cfg.planners.push_back(tok);
         }
     }
+    if (!flags_ok(flags)) return 2;
     const auto summary = conformance::fuzz_conformance(cfg);
     util::Table t({"metric", "value"});
     t.add_row({"instances", std::to_string(summary.instances)});
@@ -384,13 +415,16 @@ int cmd_conformance(const util::Flags& flags) {
 }
 
 int cmd_sensitivity(const util::Flags& flags) {
-    const auto inst = io::load_instance(flags.get_string("instance", ""));
+    const std::string instance_path = flags.get_string("instance", "");
     core::PlannerOptions opts;
     opts.delta_m = flags.get_double("delta", opts.delta_m);
     opts.k = flags.get_int("k", opts.k);
-    const auto entries = core::analyze_sensitivity(
-        inst, flags.get_string("algo", "alg2"), opts,
-        flags.get_double("perturb", 0.2));
+    const std::string algo = flags.get_string("algo", "alg2");
+    const double perturb = flags.get_double("perturb", 0.2);
+    if (!flags_ok(flags)) return 2;
+    const auto inst = io::load_instance(instance_path);
+    const auto entries =
+        core::analyze_sensitivity(inst, algo, opts, perturb);
     util::Table t({"parameter", "baseline", "-p [GB]", "+p [GB]",
                    "elasticity"});
     for (const auto& e : entries) {
@@ -405,7 +439,6 @@ int cmd_sensitivity(const util::Flags& flags) {
 
 int cmd_serve_tcp(const util::Flags& flags,
                   const service::PlanService::Config& svc_cfg) {
-    auto& sig = net::ShutdownSignal::install();
     net::TcpServerConfig cfg;
     cfg.host = flags.get_string("host", cfg.host);
     cfg.port = flags.get_int("port", 0);
@@ -415,9 +448,13 @@ int cmd_serve_tcp(const util::Flags& flags,
         "max-frame", static_cast<std::int64_t>(cfg.max_frame_bytes)));
     cfg.write_queue_limit = static_cast<std::size_t>(flags.get_int64(
         "write-limit", static_cast<std::int64_t>(cfg.write_queue_limit)));
+    const bool announce = flags.get_bool("announce", false);
+    if (!flags_ok(flags)) return 2;
+    const bool has_repo = !cfg.repo_path.empty();
+    auto& sig = net::ShutdownSignal::install();
     cfg.stop = &sig.flag();
     cfg.wake_fd = sig.wake_fd();
-    if (flags.get_bool("announce", false)) {
+    if (announce) {
         // Machine handshake for parents that spawned us on --port=0: the
         // first stdout line is `LISTENING <port>`, nothing else precedes it.
         cfg.on_listening = [](int port) {
@@ -447,7 +484,7 @@ int cmd_serve_tcp(const util::Flags& flags,
                               : 0.0),
                      1)
               << "%";
-    if (!flags.get_string("repo", "").empty()) {
+    if (has_repo) {
         std::cerr << "; repo preloaded " << res.preloaded.instances
                   << " instances + " << res.preloaded.responses
                   << " responses, appended " << res.repo_appends;
@@ -477,6 +514,11 @@ int cmd_serve(const util::Flags& flags) {
         return cmd_serve_tcp(flags, cfg.service);
     }
 
+    const std::string in_path = flags.get_string("in", "");
+    const std::string out_path = flags.get_string("out", "");
+    const bool print_summary = flags.get_bool("summary", false);
+    if (!flags_ok(flags)) return 2;
+
     // SIGTERM/SIGINT drain the JSONL path too: the handler (no SA_RESTART)
     // interrupts the blocking getline, the stop flag ends the session, and
     // everything already submitted is answered before exit.
@@ -484,7 +526,6 @@ int cmd_serve(const util::Flags& flags) {
     cfg.stop = &sig.flag();
 
     std::ifstream fin;
-    const std::string in_path = flags.get_string("in", "");
     if (!in_path.empty()) {
         fin.open(in_path);
         if (!fin) {
@@ -493,7 +534,6 @@ int cmd_serve(const util::Flags& flags) {
         }
     }
     std::ofstream fout;
-    const std::string out_path = flags.get_string("out", "");
     if (!out_path.empty()) {
         fout.open(out_path);
         if (!fout) {
@@ -505,7 +545,7 @@ int cmd_serve(const util::Flags& flags) {
     std::ostream& out = out_path.empty() ? std::cout : fout;
 
     const auto summary = service::serve_jsonl(in, out, cfg);
-    if (flags.get_bool("summary", false)) {
+    if (print_summary) {
         // Human-readable wrap-up on stderr so stdout stays pure JSONL.
         std::cerr << "serve: " << summary.requests << " requests, "
                   << summary.control << " control, " << summary.parse_errors
@@ -522,7 +562,6 @@ int cmd_serve(const util::Flags& flags) {
 }
 
 int cmd_route(const util::Flags& flags) {
-    auto& sig = net::ShutdownSignal::install();
     net::RouterConfig cfg;
     cfg.host = flags.get_string("host", cfg.host);
     cfg.port = flags.get_int("port", 0);
@@ -537,9 +576,12 @@ int cmd_route(const util::Flags& flags) {
             if (!tok.empty()) cfg.endpoints.push_back(std::stoi(tok));
         }
     }
+    const bool announce = flags.get_bool("announce", false);
+    if (!flags_ok(flags)) return 2;
+    auto& sig = net::ShutdownSignal::install();
     cfg.stop = &sig.flag();
     cfg.wake_fd = sig.wake_fd();
-    if (flags.get_bool("announce", false)) {
+    if (announce) {
         cfg.on_listening = [](int port) {
             std::cout << "LISTENING " << port << "\n" << std::flush;
         };
@@ -563,6 +605,7 @@ int cmd_route(const util::Flags& flags) {
 int cmd_loadgen(const util::Flags& flags) {
     net::LoadgenConfig cfg;
     const std::string connect = flags.get_string("connect", "");
+    cfg.port = flags.get_int("port", 0);
     if (!connect.empty()) {
         const std::size_t colon = connect.rfind(':');
         if (colon == std::string::npos) {
@@ -571,8 +614,6 @@ int cmd_loadgen(const util::Flags& flags) {
         }
         cfg.host = connect.substr(0, colon);
         cfg.port = std::stoi(connect.substr(colon + 1));
-    } else {
-        cfg.port = flags.get_int("port", 0);
     }
     cfg.connections = flags.get_int("connections", cfg.connections);
     cfg.pipeline = flags.get_int("pipeline", cfg.pipeline);
@@ -588,8 +629,10 @@ int cmd_loadgen(const util::Flags& flags) {
             if (!tok.empty()) cfg.planners.push_back(tok);
         }
     }
-
     const std::string emit = flags.get_string("emit-jsonl", "");
+    const std::string capture_out = flags.get_string("capture-out", "");
+    if (!flags_ok(flags)) return 2;
+
     if (!emit.empty()) {
         // Reference stream for the byte-identity check: the same logical
         // workload, pipeable through the JSONL `uavdc serve` path.
@@ -607,7 +650,6 @@ int cmd_loadgen(const util::Flags& flags) {
         return 1;
     }
 
-    const std::string capture_out = flags.get_string("capture-out", "");
     cfg.capture = !capture_out.empty();
     const auto res = net::run_loadgen(cfg);
     if (!capture_out.empty()) {
@@ -640,8 +682,9 @@ int cmd_serve_gen(const util::Flags& flags) {
             if (!tok.empty()) cfg.planners.push_back(tok);
         }
     }
-    const std::string text = service::generate_jsonl_workload(cfg);
     const std::string out = flags.get_string("out", "");
+    if (!flags_ok(flags)) return 2;
+    const std::string text = service::generate_jsonl_workload(cfg);
     if (out.empty()) {
         std::cout << text;
         return 0;
@@ -657,14 +700,18 @@ int cmd_serve_gen(const util::Flags& flags) {
 }
 
 int cmd_render(const util::Flags& flags) {
-    const auto inst = io::load_instance(flags.get_string("instance", ""));
+    const std::string instance_path = flags.get_string("instance", "");
     const std::string out = flags.get_string("out", "");
+    const bool has_plan = flags.has("plan");
+    const std::string plan_path = flags.get_string("plan", "");
+    if (!flags_ok(flags)) return 2;
     if (out.empty()) {
         std::cerr << "render: --out is required\n";
         return 1;
     }
-    if (flags.has("plan")) {
-        const auto plan = io::load_plan(flags.get_string("plan", ""));
+    const auto inst = io::load_instance(instance_path);
+    if (has_plan) {
+        const auto plan = io::load_plan(plan_path);
         io::save_svg(out, inst, &plan);
     } else {
         io::save_svg(out, inst, nullptr);
