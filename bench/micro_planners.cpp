@@ -114,7 +114,7 @@ void BM_BenchmarkPlanner(benchmark::State& state) {
         benchmark::DoNotOptimize(res.stats.planned_mb);
     }
 }
-BENCHMARK(BM_BenchmarkPlanner)->Arg(60)->Arg(120);
+BENCHMARK(BM_BenchmarkPlanner)->Arg(60)->Arg(120)->Arg(400);
 
 }  // namespace
 

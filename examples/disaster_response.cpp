@@ -5,7 +5,8 @@
 // partial collection, then replays the best plan in the simulator with a
 // battery-margin readout.
 //
-//   ./disaster_response [--devices=90] [--energy=2.5e4] [--seed=11]
+//   ./disaster_response [--devices=90] [--side=500] [--energy=2.5e4]
+//                       [--seed=11]
 
 #include <iostream>
 #include <vector>
@@ -27,8 +28,13 @@ int main(int argc, char** argv) {
     gen.uav.energy_j = flags.get_double("energy", 2.5e4);
     // Launch from the field corner — the staging area outside the zone.
     gen.depot = {0.0, 0.0};
-    const auto inst = workload::generate(
-        gen, static_cast<std::uint64_t>(flags.get_int64("seed", 11)));
+    const auto seed = static_cast<std::uint64_t>(flags.get_int64("seed", 11));
+    if (flags.report_unknown(std::cerr)) {
+        std::cerr << "usage: ./disaster_response [--devices=90] "
+                     "[--side=500] [--energy=2.5e4] [--seed=11]\n";
+        return 2;
+    }
+    const auto inst = workload::generate(gen, seed);
 
     std::cout << "Incident ring: " << inst.num_devices() << " sensors, "
               << util::Table::fmt(inst.total_data_mb() / 1000.0, 2)

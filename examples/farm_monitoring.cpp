@@ -4,7 +4,7 @@
 // pure geometry — a good setting to examine the delta (grid resolution)
 // trade-off from Fig. 4 and the radio-model ablation on a single instance.
 //
-//   ./farm_monitoring [--devices=100] [--energy=2e4] [--seed=5]
+//   ./farm_monitoring [--devices=100] [--side=450] [--energy=2e4] [--seed=5]
 
 #include <iostream>
 
@@ -23,8 +23,13 @@ int main(int argc, char** argv) {
     gen.num_devices = flags.get_int("devices", 100);
     gen.region_w = gen.region_h = flags.get_double("side", 450.0);
     gen.uav.energy_j = flags.get_double("energy", 2.0e4);
-    const auto inst = workload::generate(
-        gen, static_cast<std::uint64_t>(flags.get_int64("seed", 5)));
+    const auto seed = static_cast<std::uint64_t>(flags.get_int64("seed", 5));
+    if (flags.report_unknown(std::cerr)) {
+        std::cerr << "usage: ./farm_monitoring [--devices=100] "
+                     "[--side=450] [--energy=2e4] [--seed=5]\n";
+        return 2;
+    }
+    const auto inst = workload::generate(gen, seed);
 
     std::cout << "Farm lattice: " << inst.num_devices() << " sensors, "
               << util::Table::fmt(inst.total_data_mb() / 1000.0, 2)

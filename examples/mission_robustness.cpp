@@ -5,7 +5,7 @@
 // the margin an operator should actually fly with — the knee where
 // completion probability reaches 100%.
 //
-//   ./mission_robustness [--devices=60] [--energy=4e4] [--trials=48]
+//   ./mission_robustness [--devices=60] [--energy=7e4] [--seed=6] [--trials=48]
 
 #include <iostream>
 
@@ -24,9 +24,14 @@ int main(int argc, char** argv) {
     workload::GeneratorConfig gen = workload::paper_scaled(0.35);
     gen.num_devices = flags.get_int("devices", 60);
     gen.uav.energy_j = flags.get_double("energy", 7.0e4);
-    const auto inst = workload::generate(
-        gen, static_cast<std::uint64_t>(flags.get_int64("seed", 6)));
+    const auto seed = static_cast<std::uint64_t>(flags.get_int64("seed", 6));
     const int trials = flags.get_int("trials", 48);
+    if (flags.report_unknown(std::cerr)) {
+        std::cerr << "usage: ./mission_robustness [--devices=60] "
+                     "[--energy=7e4] [--seed=6] [--trials=48]\n";
+        return 2;
+    }
+    const auto inst = workload::generate(gen, seed);
 
     sim::DisturbanceModel weather;
     weather.wind_max_mps = 3.0;

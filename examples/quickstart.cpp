@@ -23,8 +23,13 @@ int main(int argc, char** argv) {
     gen.num_devices = flags.get_int("devices", 80);
     gen.region_w = gen.region_h = flags.get_double("side", 400.0);
     gen.uav.energy_j = flags.get_double("energy", 4.0e4);
-    const auto inst = workload::generate(
-        gen, static_cast<std::uint64_t>(flags.get_int64("seed", 7)));
+    const auto seed = static_cast<std::uint64_t>(flags.get_int64("seed", 7));
+    if (flags.report_unknown(std::cerr)) {
+        std::cerr << "usage: ./quickstart [--devices=80] "
+                     "[--side=400] [--energy=4e4] [--seed=7]\n";
+        return 2;
+    }
+    const auto inst = workload::generate(gen, seed);
 
     std::cout << "Instance: " << inst.name << " — " << inst.num_devices()
               << " aggregate sensor nodes, "

@@ -4,7 +4,7 @@
 // same clustered instance and shows why overlap-aware hovering wins: one
 // well-placed hovering location drains a whole cluster concurrently.
 //
-//   ./smart_city [--devices=120] [--energy=3e4] [--seed=3]
+//   ./smart_city [--devices=120] [--side=500] [--energy=3e4] [--seed=3]
 
 #include <algorithm>
 #include <iostream>
@@ -30,8 +30,13 @@ int main(int argc, char** argv) {
     gen.num_devices = flags.get_int("devices", 120);
     gen.region_w = gen.region_h = flags.get_double("side", 500.0);
     gen.uav.energy_j = flags.get_double("energy", 3.0e4);
-    const auto inst = workload::generate(
-        gen, static_cast<std::uint64_t>(flags.get_int64("seed", 3)));
+    const auto seed = static_cast<std::uint64_t>(flags.get_int64("seed", 3));
+    if (flags.report_unknown(std::cerr)) {
+        std::cerr << "usage: ./smart_city [--devices=120] "
+                     "[--side=500] [--energy=3e4] [--seed=3]\n";
+        return 2;
+    }
+    const auto inst = workload::generate(gen, seed);
 
     std::cout << "Smart-city field: " << inst.num_devices()
               << " devices in " << gen.clusters << " districts, "

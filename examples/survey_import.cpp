@@ -58,6 +58,10 @@ int main(int argc, char** argv) {
     auto uav = workload::paper_uav();
     uav.energy_j = flags.get_double("energy", 3.0e4);
     std::string csv = flags.get_string("csv", "");
+    if (flags.report_unknown(std::cerr)) {
+        std::cerr << "usage: ./survey_import [--csv=FILE] [--energy=3e4]\n";
+        return 2;
+    }
     const bool demo = csv.empty();
     if (demo) {
         csv = write_demo_survey();

@@ -19,8 +19,31 @@ UAVDC=$BUILD/tools/uavdc
 
 TMP=$(mktemp -d)
 ROUTER_PID=""
+LOADGEN_PID=""
+# SIGKILLs each given pid that is still a uavdc process (a pid may have
+# been reused since it was read).
+kill_uavdc() {
+    for pid in "$@"; do
+        [ "$(ps -o comm= -p "$pid" 2>/dev/null)" = uavdc ] &&
+            kill -9 "$pid" 2>/dev/null || true
+    done
+}
+# On any exit: SIGTERM the router first (it drains and stops its shards),
+# then SIGKILL whatever is left of the tree after five seconds, so a failed
+# step leaves no orphaned shard behind.
 cleanup() {
-    [ -n "$ROUTER_PID" ] && kill -9 "$ROUTER_PID" 2>/dev/null || true
+    if [ -n "$ROUTER_PID" ]; then
+        local kids
+        kids=$(pgrep -P "$ROUTER_PID" || true)
+        kill -TERM "$ROUTER_PID" 2>/dev/null || true
+        for _ in $(seq 1 50); do
+            kill -0 "$ROUTER_PID" 2>/dev/null || break
+            sleep 0.1
+        done
+        kids="$kids $(pgrep -P "$ROUTER_PID" || true)"
+        kill_uavdc "$ROUTER_PID" $kids
+    fi
+    [ -n "$LOADGEN_PID" ] && kill_uavdc "$LOADGEN_PID"
     rm -rf "$TMP"
 }
 trap cleanup EXIT
@@ -60,6 +83,7 @@ echo "killed shard $VICTIM mid-load"
 
 RC=0
 wait "$LOADGEN_PID" || RC=$?
+LOADGEN_PID=""
 if [ "$RC" -ne 0 ]; then
     echo "shard_kill_drill: loadgen exited $RC" >&2
     cat "$TMP/loadgen.json" >&2

@@ -4,6 +4,7 @@
 // Algorithms 2 and 3. Internal to core/algorithm2.cpp and
 // core/partial_policy.hpp; each supplies its gain state as a policy.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory_resource>
@@ -124,6 +125,7 @@ template <typename Policy, typename Config>
     std::pmr::vector<std::size_t> dirty(mr);
     std::pmr::vector<char> dirty_mark(n, 0, mr);
     std::pmr::vector<std::size_t> ins_changed(mr);
+    std::pmr::vector<int> kept_keys(mr);
     for (;;) {
         ++iterations;
         const auto found = queue.pop_best(
@@ -151,6 +153,7 @@ template <typename Policy, typename Config>
         }
 
         bool retour = false;
+        bool reordered = false;  // the re-tour changed the order
         ins_changed.clear();
         if (take.insert) {
             const TourBuilder::Insertion ins = st.cache.get(best);
@@ -162,10 +165,17 @@ template <typename Policy, typename Config>
                      ++since_retour >= cfg.retour_every;
             if (retour) {
                 since_retour = 0;
+                kept_keys.assign(st.tour.keys().begin(),
+                                 st.tour.keys().end());
                 st.tour.reoptimize();
+                reordered = !std::ranges::equal(kept_keys, st.tour.keys());
+            }
+            if (reordered) {
                 st.cache.invalidate_all();
                 st.cache.rebuild_all(parallel);
             } else {
+                // A re-tour that kept the order kept every stop and edge,
+                // so the entries stay exact under the insertion alone.
                 st.cache.on_insert(ins, ins_changed);
             }
         }
@@ -173,8 +183,8 @@ template <typename Policy, typename Config>
         policy.refresh(dirty, parallel);
         for (const std::size_t j : dirty) dirty_mark[j] = 0;
         if (retour) {
-            // Every insertion delta changed and feasibility may have
-            // loosened (shorter tour).
+            // The length was recomputed (and, when reordered, every
+            // insertion delta changed); feasibility may have loosened.
             rekey_all();
         } else {
             for (const std::size_t j : dirty) rekey(j);

@@ -248,7 +248,7 @@ double TourBuilder::reoptimize() {
         ccfg.improve_two_opt = false;
         ccfg.improve_or_opt = false;
         order = graph::christofides_tour(g, 0, ccfg);
-        const auto nb = graph::nearest_neighbor_lists(g, kReoptNeighbors);
+        const auto nb = graph::nearest_neighbor_lists(pts, kReoptNeighbors);
         graph::two_opt_neighbors(g, order, nb);
         graph::or_opt_neighbors(g, order, nb);
         graph::two_opt_neighbors(g, order, nb);

@@ -167,9 +167,11 @@ class TourBuilder {
 /// on the planner hot path), so repeated plans on a warm arena allocate
 /// nothing.
 ///
-/// `reoptimize()` invalidates every entry (the whole edge set changes);
-/// callers mark the cache dirty with `invalidate_all` and restore the
-/// invariant with `rebuild_all` — the dirty-bit fallback to full recompute.
+/// A `reoptimize()` that changes the stop order invalidates every entry (the
+/// whole edge set changes); callers mark the cache dirty with
+/// `invalidate_all` and restore the invariant with `rebuild_all` — the
+/// dirty-bit fallback to full recompute. One that keeps the order keeps
+/// every stop and edge, so the entries stay exact.
 class InsertionCache {
   public:
     /// Snapshot of `points` scored against `tour`; starts dirty — call

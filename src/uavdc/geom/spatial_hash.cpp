@@ -108,45 +108,4 @@ int SpatialHash::nearest(const Vec2& q) const {
     return best;
 }
 
-std::vector<int> SpatialHash::k_nearest(const Vec2& q, std::size_t k) const {
-    std::vector<int> out;
-    if (points_.empty() || k == 0) return out;
-    k = std::min(k, points_.size());
-    std::vector<std::pair<double, int>> found;
-    const auto finish = [&] {
-        std::sort(found.begin(), found.end());
-        out.reserve(k);
-        for (std::size_t i = 0; i < k; ++i) out.push_back(found[i].second);
-        return out;
-    };
-    for (double r = cell_size_;; r *= 2.0) {
-        found.clear();
-        for_each_in_disk(q, r, [&](int idx) {
-            found.emplace_back(
-                distance2(points_[static_cast<std::size_t>(idx)], q), idx);
-        });
-        if (found.size() >= k) {
-            std::nth_element(found.begin(),
-                             found.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                             found.end());
-            // The k-th hit must lie inside the scanned disk, else a closer
-            // point may still be hiding outside it. Squared-form test:
-            // sqrt(d2) <= r iff d2 <= r * r (see nearest()).
-            if (found[k - 1].first <= r * r) return finish();
-        }
-        // Guard against pathological far-away point sets (see nearest()).
-        if (r > 4.0 * (cell_size_ * (nbx_ + nby_ + 2) +
-                       distance(q, origin_))) {
-            break;
-        }
-    }
-    // Fallback: full scan (only reached for degenerate layouts).
-    found.clear();
-    found.reserve(points_.size());
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-        found.emplace_back(distance2(points_[i], q), static_cast<int>(i));
-    }
-    return finish();
-}
-
 }  // namespace uavdc::geom

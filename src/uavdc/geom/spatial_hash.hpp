@@ -79,12 +79,6 @@ class SpatialHash {
     /// Index of the nearest point to q, or -1 if the index is empty.
     [[nodiscard]] int nearest(const Vec2& q) const;
 
-    /// Indices of the (up to) k nearest points to q, ordered by
-    /// (distance, index) — deterministic under distance ties. Uses the same
-    /// expanding-ring search as nearest().
-    [[nodiscard]] std::vector<int> k_nearest(const Vec2& q,
-                                             std::size_t k) const;
-
   private:
     [[nodiscard]] int bucket_coord(double offset) const;
 

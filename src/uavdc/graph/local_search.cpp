@@ -1,6 +1,7 @@
 #include "uavdc/graph/local_search.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -10,6 +11,11 @@ namespace uavdc::graph {
 
 namespace {
 constexpr double kEps = 1e-10;
+/// Target bucket occupancy of nearest_neighbor_lists' grid.
+constexpr double kPointsPerCell = 2.0;
+/// Relative shrink of nearest_neighbor_lists' ring stop bound: far above
+/// the ~1e-16 relative error of a cell index or a distance.
+constexpr double kRingSlack = 1.0 - 1e-9;
 }
 
 double two_opt(const DenseGraph& g, std::vector<std::size_t>& tour,
@@ -127,35 +133,114 @@ double or_opt(const DenseGraph& g, std::vector<std::size_t>& tour,
 }
 
 std::vector<std::vector<std::size_t>> nearest_neighbor_lists(
-    const DenseGraph& g, std::size_t k) {
-    const std::size_t n = g.size();
+    std::span<const geom::Vec2> pts, std::size_t k) {
+    const std::size_t n = pts.size();
     std::vector<std::vector<std::size_t>> nb(n);
     if (n <= 1 || k == 0) return nb;
     k = std::min(k, n - 1);
-    // Bounded top-k: a sorted k-slot list per row. Indices arrive in
-    // increasing order, so a later node never beats an equal weight, and
-    // (weight, index) order needs only a strict weight comparison.
+
+    // Bucket grid over the bounding box with about kPointsPerCell points
+    // per cell (a single cell when the box is degenerate).
+    double x0 = pts[0].x;
+    double y0 = pts[0].y;
+    double x1 = x0;
+    double y1 = y0;
+    for (const auto& p : pts) {
+        x0 = std::min(x0, p.x);
+        y0 = std::min(y0, p.y);
+        x1 = std::max(x1, p.x);
+        y1 = std::max(y1, p.y);
+    }
+    const double w = x1 - x0;
+    const double h = y1 - y0;
+    const double per = kPointsPerCell / static_cast<double>(n);
+    double s = std::max(std::sqrt(w * h * per), std::max(w, h) * per);
+    std::size_t nx = 1;
+    std::size_t ny = 1;
+    if (std::isfinite(s) && s > 0.0) {
+        nx = static_cast<std::size_t>(w / s) + 1;
+        ny = static_cast<std::size_t>(h / s) + 1;
+    } else {
+        s = 1.0;
+    }
+    const auto cell = [s](double offset, std::size_t cells) {
+        const double q = offset / s;
+        return q > 0.0 ? static_cast<std::size_t>(
+                             std::min(q, static_cast<double>(cells - 1)))
+                       : std::size_t{0};
+    };
+    std::vector<std::size_t> cx(n);
+    std::vector<std::size_t> cy(n);
+    std::vector<std::size_t> start(nx * ny + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        cx[i] = cell(pts[i].x - x0, nx);
+        cy[i] = cell(pts[i].y - y0, ny);
+        ++start[cy[i] * nx + cx[i] + 1];
+    }
+    for (std::size_t b = 0; b < nx * ny; ++b) start[b + 1] += start[b];
+    std::vector<std::size_t> members(n);
+    {
+        std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+        for (std::size_t i = 0; i < n; ++i) {
+            members[fill[cy[i] * nx + cx[i]]++] = i;
+        }
+    }
+
+    // Per row: a sorted k-slot list in (w, index) order, fed ring by ring
+    // around the row's cell. After ring r every unscanned point lies at
+    // least r cells away, so farther than r * s; the row stops once its
+    // k-th weight is below that bound, shrunk by a relative slack that
+    // covers the rounding of cell indices and distances.
     std::vector<double> top_w(k);
     for (std::size_t i = 0; i < n; ++i) {
-        const auto row = g.row(i);
         auto& list = nb[i];
         list.resize(k);
-        // Insert (row[j], j) into the sorted slots [0, len], dropping slot len.
-        const auto place = [&](std::size_t j, std::size_t len) {
-            std::size_t t = len;
-            for (; t > 0 && row[j] < top_w[t - 1]; --t) {
+        std::size_t len = 0;
+        const auto consider = [&](std::size_t j) {
+            if (j == i) return;
+            // The distance matrix's own expression and operand order.
+            const double d = geom::distance(pts[std::min(i, j)],
+                                            pts[std::max(i, j)]);
+            const auto before = [&](std::size_t t) {
+                return d < top_w[t] || (d == top_w[t] && j < list[t]);
+            };
+            if (len == k && !before(k - 1)) return;
+            std::size_t t = len < k ? len++ : k - 1;
+            for (; t > 0 && before(t - 1); --t) {
                 top_w[t] = top_w[t - 1];
                 list[t] = list[t - 1];
             }
-            top_w[t] = row[j];
+            top_w[t] = d;
             list[t] = j;
         };
-        std::size_t j = 0;
-        for (std::size_t len = 0; len < k; ++j) {
-            if (j != i) place(j, len++);
-        }
-        for (; j < n; ++j) {
-            if (row[j] < top_w[k - 1] && j != i) place(j, k - 1);
+        const auto scan = [&](std::size_t bx, std::size_t by) {
+            const std::size_t b = by * nx + bx;
+            for (std::size_t m = start[b]; m < start[b + 1]; ++m) {
+                consider(members[m]);
+            }
+        };
+        const std::size_t ci = cx[i];
+        const std::size_t cj = cy[i];
+        const std::size_t last =
+            std::max({ci, nx - 1 - ci, cj, ny - 1 - cj});
+        for (std::size_t r = 0;; ++r) {
+            const std::size_t xlo = ci >= r ? ci - r : 0;
+            const std::size_t xhi = std::min(ci + r, nx - 1);
+            const std::size_t ylo = cj >= r ? cj - r : 0;
+            const std::size_t yhi = std::min(cj + r, ny - 1);
+            for (std::size_t by = ylo; by <= yhi; ++by) {
+                if (by + r == cj || by == cj + r) {
+                    for (std::size_t bx = xlo; bx <= xhi; ++bx) scan(bx, by);
+                } else {
+                    if (ci >= r) scan(ci - r, by);
+                    if (r > 0 && ci + r < nx) scan(ci + r, by);
+                }
+            }
+            if (r == last) break;
+            if (len == k &&
+                top_w[k - 1] < static_cast<double>(r) * s * kRingSlack) {
+                break;
+            }
         }
     }
     return nb;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "uavdc/graph/dense_graph.hpp"
@@ -18,12 +19,14 @@ double two_opt(const DenseGraph& g, std::vector<std::size_t>& tour,
 double or_opt(const DenseGraph& g, std::vector<std::size_t>& tour,
               int max_rounds = 20);
 
-/// k-nearest-neighbour lists for every node: nb[i] holds the k nodes closest
-/// to i (excluding i), ordered by (weight, index). The candidate-move lists
-/// for the *_neighbors local searches below. One pass per row keeps a
-/// sorted k-slot list: O(n) per row plus O(k) per admitted node.
+/// k-nearest-neighbour lists for every point: nb[i] holds the k points
+/// closest to i (excluding i), ordered by (distance, index), the distance
+/// being DenseGraph::euclidean(pts)'s weight bit for bit. The candidate-move
+/// lists for the *_neighbors local searches below. Built through a bucket
+/// grid: each row scans rings of cells around its own until no unscanned
+/// point can enter its list.
 [[nodiscard]] std::vector<std::vector<std::size_t>> nearest_neighbor_lists(
-    const DenseGraph& g, std::size_t k);
+    std::span<const geom::Vec2> pts, std::size_t k);
 
 /// Neighbor-list 2-opt: only moves that create an edge (a, c) with c among
 /// a's k nearest neighbours and w(a, c) < w(a, b) are tried, turning each

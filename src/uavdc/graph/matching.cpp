@@ -15,6 +15,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Candidate-list length per node in greedy_min_matching's first phase.
+constexpr std::size_t kGreedyCandidates = 8;
+
 void require_even(const std::vector<std::size_t>& nodes) {
     UAVDC_REQUIRE(nodes.size() % 2 == 0)
         << "matching: node set must have even cardinality, got "
@@ -158,28 +161,84 @@ Matching greedy_min_matching(const DenseGraph& g,
     Matching result;
     if (k == 0) return result;
 
-    // Sort all pairs by weight and greedily take compatible ones.
-    struct Pair {
-        std::size_t a;
-        std::size_t b;
-        double w;
-    };
-    std::vector<Pair> pairs;
-    pairs.reserve(k * (k - 1) / 2);
-    for (std::size_t a = 0; a < k; ++a) {
-        for (std::size_t b = a + 1; b < k; ++b) {
-            pairs.push_back({a, b, g.weight(nodes[a], nodes[b])});
+    // Greedy phase: take pairs in ascending (w, a, b) order (a < b are
+    // positions in `nodes`) whenever both ends are free, the order a stable
+    // sort of all pairs by weight gives. A heap holds one entry per free
+    // node: its best free partner, drawn from a short candidate list sorted
+    // by (w, partner) and refilled from the node's row when every listed
+    // partner is taken. A popped entry whose partner is taken is replaced
+    // by the node's next candidate; one whose ends are both free is the
+    // least pair left, because a node's best pair only worsens as
+    // partners go.
+    const std::size_t cap = std::min(kGreedyCandidates, k - 1);
+    std::vector<std::size_t> partner(k, k);  // k = free
+    std::vector<std::size_t> cand(k * cap);
+    std::vector<double> cand_w(k * cap);
+    std::vector<std::size_t> head(k, 0);
+    std::vector<std::size_t> len(k, 0);
+    const auto refill = [&](std::size_t a) {
+        const auto row = g.row(nodes[a]);
+        std::size_t* list = cand.data() + a * cap;
+        double* lw = cand_w.data() + a * cap;
+        std::size_t n = 0;
+        // Rows are read in ascending b, so a strict weight comparison keeps
+        // (w, b) order.
+        for (std::size_t b = 0; b < k; ++b) {
+            if (b == a || partner[b] != k) continue;
+            const double w = row[nodes[b]];
+            if (n == cap && !(w < lw[cap - 1])) continue;
+            std::size_t t = n < cap ? n++ : cap - 1;
+            for (; t > 0 && w < lw[t - 1]; --t) {
+                lw[t] = lw[t - 1];
+                list[t] = list[t - 1];
+            }
+            lw[t] = w;
+            list[t] = b;
         }
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const Pair& x, const Pair& y) { return x.w < y.w; });
-    std::vector<bool> used(k, false);
-    std::vector<std::size_t> partner(k, k);
-    for (const auto& p : pairs) {
-        if (used[p.a] || used[p.b]) continue;
-        used[p.a] = used[p.b] = true;
-        partner[p.a] = p.b;
-        partner[p.b] = p.a;
+        head[a] = 0;
+        len[a] = n;
+    };
+    struct Entry {
+        double w;
+        std::size_t lo;
+        std::size_t hi;
+        std::size_t owner;
+    };
+    const auto later = [](const Entry& x, const Entry& y) {
+        if (x.w != y.w) return y.w < x.w;
+        if (x.lo != y.lo) return y.lo < x.lo;
+        return y.hi < x.hi;
+    };
+    std::vector<Entry> heap;
+    heap.reserve(k);
+    // Pushes a's best free partner, if it has one.
+    const auto push_best = [&](std::size_t a) {
+        while (head[a] < len[a] && partner[cand[a * cap + head[a]]] != k) {
+            ++head[a];
+        }
+        if (head[a] == len[a]) {
+            refill(a);
+            if (len[a] == 0) return;
+        }
+        const std::size_t b = cand[a * cap + head[a]];
+        heap.push_back({cand_w[a * cap + head[a]], std::min(a, b),
+                        std::max(a, b), a});
+        std::push_heap(heap.begin(), heap.end(), later);
+    };
+    for (std::size_t a = 0; a < k; ++a) push_best(a);
+    while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        const Entry e = heap.back();
+        heap.pop_back();
+        const std::size_t a = e.owner;
+        if (partner[a] != k) continue;
+        const std::size_t b = a == e.lo ? e.hi : e.lo;
+        if (partner[b] != k) {
+            push_best(a);
+            continue;
+        }
+        partner[a] = b;
+        partner[b] = a;
     }
 
     // 2-swap improvement: for matched pairs (a,b), (c,d) try (a,c)+(b,d) and

@@ -26,7 +26,11 @@ using Matching = std::vector<std::pair<std::size_t, std::size_t>>;
 
 /// Greedy minimum matching (repeatedly pair the globally closest unmatched
 /// nodes) followed by pairwise 2-swap improvement until a local optimum.
-/// O(k^2 log k + k^3) worst case, fine for thousands of nodes.
+/// Tie rule: pairs are taken in ascending (w, a, b) order, a < b being
+/// positions in `nodes`, as a stable sort of all pairs by weight orders
+/// them. The greedy phase keeps a heap of each free node's best free
+/// partner, fed from short per-node candidate lists that are refilled from
+/// the node's row when they run out; the 2-swap loop is O(k^3) worst case.
 /// `nodes.size()` must be even.
 [[nodiscard]] Matching greedy_min_matching(const DenseGraph& g,
                                            std::vector<std::size_t> nodes);

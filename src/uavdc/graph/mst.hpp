@@ -15,7 +15,8 @@ struct Edge {
     double w;
 };
 
-/// Prim's algorithm on a complete dense graph: O(n^2) time, O(n) space.
+/// Prim's algorithm on a complete dense graph: O(n^2) time, O(n) space;
+/// each step scans only the nodes not yet in the tree.
 /// Returns the n-1 tree edges; an empty vector for n <= 1.
 [[nodiscard]] std::vector<Edge> mst_prim(const DenseGraph& g);
 

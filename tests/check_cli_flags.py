@@ -9,8 +9,9 @@
    server: `serve --tcp ... --announce` and `route --endpoints=...
    --announce` (and `route --shards=N`, which spawns its own shards) each
    print `LISTENING <port>` and exit 0 on SIGTERM.
+4. Each example given answers an unknown flag, and `--help`, the same way.
 
-Usage: check_cli_flags.py UAVDC_BINARY FIGURE_HARNESS
+Usage: check_cli_flags.py UAVDC_BINARY FIGURE_HARNESS [EXAMPLE...]
 Exit codes: 0 all checks pass, 1 a check failed.
 """
 
@@ -74,9 +75,9 @@ def stop(proc, argv):
 
 
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) < 3:
         sys.exit(__doc__)
-    uavdc, harness = (os.path.abspath(p) for p in sys.argv[1:])
+    uavdc, harness, *examples = (os.path.abspath(p) for p in sys.argv[1:])
     with tempfile.TemporaryDirectory() as tmp:
         inst = os.path.join(tmp, "p.json")
         subprocess.run([uavdc, "generate", "--preset=paper", "--devices=20",
@@ -106,6 +107,14 @@ def main():
         check(os.listdir(tmp) == ["p.json"],
               "a harness run without --out wrote %s"
               % sorted(os.listdir(tmp)))
+
+        # A misspelt example flag must not run the example without it.
+        for example in examples:
+            expect_usage_exit([example, "--devcies=10"], tmp,
+                              unknown="devcies")
+            expect_usage_exit([example, "--help"], tmp)
+        check(os.listdir(tmp) == ["p.json"],
+              "a rejected example run wrote %s" % sorted(os.listdir(tmp)))
 
         shard_argv = [uavdc, "serve", "--tcp", "--port=0", "--announce",
                       "--workers=1", "--queue=4096"]

@@ -121,7 +121,7 @@ TEST(CheapestInsertion, PicksBestEdge) {
 TEST(NeighborLists, OrderedByWeightThenIndex) {
     const auto pts = random_points(40, 31);
     const DenseGraph g = DenseGraph::euclidean(pts);
-    const auto nb = nearest_neighbor_lists(g, 8);
+    const auto nb = nearest_neighbor_lists(pts, 8);
     ASSERT_EQ(nb.size(), pts.size());
     for (std::size_t i = 0; i < nb.size(); ++i) {
         ASSERT_EQ(nb[i].size(), 8u);
@@ -147,8 +147,7 @@ TEST(NeighborLists, OrderedByWeightThenIndex) {
 
 TEST(NeighborLists, KClampedToGraphSize) {
     const auto pts = random_points(5, 32);
-    const DenseGraph g = DenseGraph::euclidean(pts);
-    const auto nb = nearest_neighbor_lists(g, 50);
+    const auto nb = nearest_neighbor_lists(pts, 50);
     for (const auto& list : nb) EXPECT_EQ(list.size(), 4u);
 }
 
@@ -171,7 +170,7 @@ TEST(NeighborLists, TieHeavyMatchesFullSort) {
         const DenseGraph g = DenseGraph::euclidean(pts);
         const auto un = static_cast<std::size_t>(n);
         for (std::size_t k = 1; k <= un + 2; ++k) {
-            const auto nb = nearest_neighbor_lists(g, k);
+            const auto nb = nearest_neighbor_lists(pts, k);
             ASSERT_EQ(nb.size(), un);
             for (std::size_t i = 0; i < un; ++i) {
                 std::vector<std::pair<double, std::size_t>> row;
@@ -194,7 +193,7 @@ TEST(TwoOptNeighbors, FixesObviousCrossing) {
     const std::vector<geom::Vec2> pts{
         {0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}};
     const DenseGraph g = DenseGraph::euclidean(pts);
-    const auto nb = nearest_neighbor_lists(g, 3);
+    const auto nb = nearest_neighbor_lists(pts, 3);
     std::vector<std::size_t> tour{0, 2, 1, 3};
     const double before = g.tour_length(tour);
     const double gain = two_opt_neighbors(g, tour, nb);
@@ -207,7 +206,7 @@ TEST(TwoOptNeighbors, NeverLengthensKeepsSetAndAnchor) {
     for (std::uint64_t seed : {41u, 42u, 43u, 44u}) {
         const auto pts = random_points(60, seed);
         const DenseGraph g = DenseGraph::euclidean(pts);
-        const auto nb = nearest_neighbor_lists(g, 10);
+        const auto nb = nearest_neighbor_lists(pts, 10);
         std::vector<std::size_t> tour(pts.size());
         std::iota(tour.begin(), tour.end(), std::size_t{0});
         const double before = g.tour_length(tour);
@@ -226,7 +225,7 @@ TEST(TwoOptNeighbors, ComparableToFullTwoOpt) {
     for (std::uint64_t seed : {51u, 52u}) {
         const auto pts = random_points(50, seed);
         const DenseGraph g = DenseGraph::euclidean(pts);
-        const auto nb = nearest_neighbor_lists(g, 12);
+        const auto nb = nearest_neighbor_lists(pts, 12);
         std::vector<std::size_t> full(pts.size());
         std::iota(full.begin(), full.end(), std::size_t{0});
         std::vector<std::size_t> pruned = full;
@@ -240,7 +239,7 @@ TEST(OrOptNeighbors, RelocatesProfitableSegment) {
     std::vector<geom::Vec2> pts;
     for (int i = 0; i < 6; ++i) pts.push_back({static_cast<double>(i), 0.0});
     const DenseGraph g = DenseGraph::euclidean(pts);
-    const auto nb = nearest_neighbor_lists(g, 5);
+    const auto nb = nearest_neighbor_lists(pts, 5);
     std::vector<std::size_t> tour{0, 1, 2, 4, 3, 5};
     const double before = g.tour_length(tour);
     or_opt_neighbors(g, tour, nb);
@@ -252,7 +251,7 @@ TEST(OrOptNeighbors, NeverLengthensKeepsSetAndAnchor) {
     for (std::uint64_t seed : {61u, 62u, 63u}) {
         const auto pts = random_points(45, seed);
         const DenseGraph g = DenseGraph::euclidean(pts);
-        const auto nb = nearest_neighbor_lists(g, 10);
+        const auto nb = nearest_neighbor_lists(pts, 10);
         std::vector<std::size_t> tour(pts.size());
         std::iota(tour.begin(), tour.end(), std::size_t{0});
         const double before = g.tour_length(tour);

@@ -123,53 +123,5 @@ TEST(SpatialHash, CoincidentPoints) {
     EXPECT_EQ(h.query_disk({1.0, 1.0}, 0.0).size(), 3u);
 }
 
-std::vector<int> brute_force_k_nearest(const std::vector<Vec2>& pts,
-                                       const Vec2& q, std::size_t k) {
-    std::vector<int> idx(pts.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) idx[i] = static_cast<int>(i);
-    std::sort(idx.begin(), idx.end(), [&](int a, int b) {
-        const double da = distance2(pts[static_cast<std::size_t>(a)], q);
-        const double db = distance2(pts[static_cast<std::size_t>(b)], q);
-        if (da != db) return da < db;
-        return a < b;
-    });
-    if (idx.size() > k) idx.resize(k);
-    return idx;
-}
-
-TEST(SpatialHash, KNearestMatchesBruteForce) {
-    const auto pts = random_points(300, 800.0, 21);
-    const SpatialHash h(pts, 60.0);
-    util::Rng rng(456);
-    for (int trial = 0; trial < 40; ++trial) {
-        const Vec2 q{rng.uniform(-200.0, 1000.0),
-                     rng.uniform(-200.0, 1000.0)};
-        const auto k = static_cast<std::size_t>(rng.uniform_int(1, 20));
-        EXPECT_EQ(h.k_nearest(q, k), brute_force_k_nearest(pts, q, k))
-            << "trial " << trial << " k=" << k;
-    }
-}
-
-TEST(SpatialHash, KNearestDeterministicUnderTies) {
-    // Four points equidistant from the query: (distance, index) order means
-    // ascending index wins.
-    const std::vector<Vec2> pts{
-        {10.0, 0.0}, {0.0, 10.0}, {-10.0, 0.0}, {0.0, -10.0}, {50.0, 50.0}};
-    const SpatialHash h(pts, 7.0);
-    EXPECT_EQ(h.k_nearest({0.0, 0.0}, 2), (std::vector<int>{0, 1}));
-    EXPECT_EQ(h.k_nearest({0.0, 0.0}, 4), (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(SpatialHash, KNearestEdgeCases) {
-    const auto pts = random_points(25, 100.0, 8);
-    const SpatialHash h(pts, 10.0);
-    EXPECT_TRUE(h.k_nearest({50.0, 50.0}, 0).empty());
-    // k larger than the point count returns everything, fully sorted.
-    EXPECT_EQ(h.k_nearest({50.0, 50.0}, 100),
-              brute_force_k_nearest(pts, {50.0, 50.0}, 100));
-    const SpatialHash empty(std::vector<Vec2>{}, 10.0);
-    EXPECT_TRUE(empty.k_nearest({0.0, 0.0}, 3).empty());
-}
-
 }  // namespace
 }  // namespace uavdc::geom
