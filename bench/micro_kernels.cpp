@@ -4,9 +4,8 @@
 // With --baseline_out=<path> the binary instead runs the tracked
 // batched-vs-scalar kernel cases and writes the uavdc-bench-kernels-v1
 // schema (add --quick for the variant that scripts/perf_gate.py runs on base
-// and head). Each case times both forms and — for
-// the elementwise kernels — asserts the outputs are bit-identical, so the
-// perf baseline doubles as an equivalence check.
+// and head). Each case times both forms and asserts the outputs are
+// bit-identical, so the perf baseline doubles as an equivalence check.
 
 #include <benchmark/benchmark.h>
 
@@ -29,7 +28,6 @@
 namespace {
 
 using namespace uavdc;
-using core::kernels::GainAccum;
 
 /// Random SoA point cloud (padded, aligned) plus the matching AoS view.
 struct Cloud {
@@ -290,49 +288,10 @@ KernelCase case_squared_matrix_fill(bool quick) {
     return out;
 }
 
-KernelCase case_capped_sum(bool quick) {
-    // fast (8-lane) vs ordered reduction; outputs are epsilon-close by
-    // design, so this case checks timing only.
-    const std::size_t m = quick ? 1u << 14 : 1u << 17;
-    util::Rng rng(53);
-    std::vector<std::int32_t> idx(m);
-    util::AlignedVector<double> residual(core::soa_padded(m), 0.0);
-    for (std::size_t j = 0; j < m; ++j) {
-        idx[j] = static_cast<std::int32_t>(j);
-        residual[j] = rng.uniform(0.0, 600.0);
-    }
-    const double cap = 250.0;
-    const int sweeps = quick ? 40 : 80;
-    KernelCase out;
-    out.name = "capped_sum";
-    out.n = static_cast<int>(m);
-    out.batched = timed_reps(5, [&] {
-        double acc = 0.0;
-        for (int s = 0; s < sweeps; ++s) {
-            acc += core::kernels::capped_sum_fast(idx.data(), m,
-                                                  residual.data(), cap);
-        }
-        benchmark::DoNotOptimize(acc);
-    });
-    out.scalar = timed_reps(5, [&] {
-        double acc = 0.0;
-        for (int s = 0; s < sweeps; ++s) {
-            acc += core::kernels::capped_sum_ordered(idx.data(), m,
-                                                     residual.data(), cap);
-        }
-        benchmark::DoNotOptimize(acc);
-    });
-    out.batched_s = out.batched.min_s;
-    out.scalar_s = out.scalar.min_s;
-    out.speedup = out.scalar_s / out.batched_s;
-    return out;
-}
-
 std::vector<KernelCase> run_kernel_baselines(bool quick) {
     return {case_distances(quick, true),     case_distances(quick, false),
             case_insertion_deltas(quick),    case_squared_insertion_lb(quick),
-            case_matrix_fill(quick),         case_squared_matrix_fill(quick),
-            case_capped_sum(quick)};
+            case_matrix_fill(quick),         case_squared_matrix_fill(quick)};
 }
 
 void write_kernel_baselines(const std::string& path, bool quick,

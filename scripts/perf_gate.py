@@ -14,7 +14,8 @@ alternating which goes first:
   built in Release into `.perf_gate/build-{base,head}` and run
   `--baseline_out=... --quick` MICRO_ROUNDS times per side. A case fails
   when its head median is more than MICRO_BOUND times its base median, or
-  when it is missing from the head. A bench that aborts (engine or kernel
+  when it is missing from the head. A case only the head has is listed as
+  `new, ungated` and cannot fail. A bench that aborts (engine or kernel
   mismatch, reduction quality drop) fails.
 - end to end: PAIRS pairs of `perfbench/run.py --workload W --seed i` for
   every workload of BENCHMARK.json, both sides of a pair on the same seed.
@@ -97,11 +98,21 @@ def _micro_verdict(base, head, out):
             out["failures"].append("%s: head run aborted (exit %s)" % (
                 bench, aborted or "none"))
         rows = []
-        for name in sorted({n for r in base[bench] for n in r["cases"]}):
-            b = statistics.median([r["cases"][name] for r in base[bench]
-                                   if name in r["cases"]])
+        base_names = {n for r in base[bench] for n in r["cases"]}
+        head_names = {n for r in head_runs if r["code"] == 0
+                      for n in r["cases"]}
+        for name in sorted(base_names | head_names):
             hs = [r["cases"][name] for r in head_runs
                   if r["code"] == 0 and name in r["cases"]]
+            if name not in base_names:
+                # A case new in the head has nothing to be compared with:
+                # list it, but it cannot fail the gate until it is in base.
+                rows.append({"case": name, "base": None,
+                             "head": statistics.median(hs), "ratio": None,
+                             "verdict": "new, ungated"})
+                continue
+            b = statistics.median([r["cases"][name] for r in base[bench]
+                                   if name in r["cases"]])
             row = {"case": name, "base": b, "head": None, "ratio": None}
             if not hs:
                 row["verdict"] = "missing"
@@ -217,7 +228,8 @@ def verdict(base_runs, head_runs, bounds):
       base median or missing, a head run that aborts, exits 1 or reports
       `correct: false`, a head failed share above the base's, or an
       end-to-end median worse than the base median by more than its bound;
-    - code 0 otherwise.
+    - code 0 otherwise (a micro case only the head has reads
+      `new, ungated` and does not fail).
     Each end-to-end metric reads `regression`, `gain` (head wins at least
     GAIN_WINS of the pairs and the medians differ by more than the base
     IQR; reported, never required), `unresolved` (the base IQR is wider

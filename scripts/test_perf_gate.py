@@ -96,6 +96,17 @@ class VerdictTest(unittest.TestCase):
                     for r in v["micro"]["micro_kernels"]}
         self.assertEqual(verdicts["capped_sum"], "missing")
 
+    def test_new_micro_case_is_listed_ungated(self):
+        def runs(names):
+            return [{"code": 0, "cases": {n: 1.0e-4 for n in names}}
+                    for _ in range(5)]
+        v = perf_gate.verdict(side(micro=runs(["a"])),
+                              side(micro=runs(["a", "b"])), BOUNDS)
+        self.assertEqual(v["code"], 0, v["failures"])
+        verdicts = {r["case"]: r["verdict"]
+                    for r in v["micro"]["micro_kernels"]}
+        self.assertEqual(verdicts, {"a": "ok", "b": "new, ungated"})
+
     def test_aborted_micro_head_fails(self):
         v = perf_gate.verdict(side(), side(micro=micro_runs(code=134)),
                               BOUNDS)

@@ -23,8 +23,6 @@ std::string to_string(ConformanceMismatch::Check check) {
             return "energy-models";
         case ConformanceMismatch::Check::kValidatorMissedAbort:
             return "validator-missed-abort";
-        case ConformanceMismatch::Check::kFastScoringDrift:
-            return "fast-scoring-drift";
         case ConformanceMismatch::Check::kReductionQualityDrift:
             return "reduction-quality-drift";
     }
@@ -197,34 +195,6 @@ InstanceFuzzResult fuzz_one_instance(const workload::GeneratorConfig& g,
         consider(inst, false, res.plan, "");
         if (cfg.stress_energy) consider(stressed, true, res.plan, "");
 
-        // Epsilon tier: the fast engine's plan must (a) pass the same
-        // cross-layer checks as any plan and (b) land within fast_rel_tol
-        // of the default engine's outcome. Scoring-aware planners only.
-        const bool scoring_aware =
-            name == "alg2" || name == "alg3" || name == "benchmark";
-        if (cfg.check_fast_scoring && scoring_aware) {
-            core::PlannerOptions fast_opts = opts;
-            fast_opts.scoring = core::ScoringEngine::kIncrementalFast;
-            const auto fast = core::make_planner(name, fast_opts)->plan(*ctx);
-            consider(inst, false, fast.plan, "+fast");
-
-            const auto base_ev = core::evaluate_plan(inst, res.plan, cfg.tol);
-            const auto fast_ev = core::evaluate_plan(inst, fast.plan, cfg.tol);
-            std::vector<ConformanceMismatch> drift;
-            const auto kDrift = ConformanceMismatch::Check::kFastScoringDrift;
-            require(drift, kDrift, "collected_mb", base_ev.collected_mb,
-                    fast_ev.collected_mb, cfg.fast_rel_tol,
-                    "incremental vs incremental-fast collected volume");
-            require(drift, kDrift, "energy_j", base_ev.energy_spent_j,
-                    fast_ev.energy_spent_j, cfg.fast_rel_tol,
-                    "incremental vs incremental-fast spent energy");
-            require(drift, kDrift, "tour_time_s", base_ev.executed_time_s,
-                    fast_ev.executed_time_s, cfg.fast_rel_tol,
-                    "incremental vs incremental-fast executed time");
-            ++out.plans_checked;
-            if (!drift.empty()) record(false, "+fast", drift);
-        }
-
         // Pruned-vs-unpruned tier: the reduced candidate set must keep the
         // collected volume within reduction_rel_tol of the full set's (one
         // sided — collecting more is fine). alg2/alg3 only: the other
@@ -265,19 +235,14 @@ InstanceFuzzResult fuzz_one_instance(const workload::GeneratorConfig& g,
 }  // namespace
 
 ConformanceFuzzSummary fuzz_conformance(const ConformanceFuzzConfig& cfg) {
-    // Tolerances are relative fractions: non-positive would flag every
+    // The tolerance is a relative fraction: non-positive would flag every
     // case, NaN would flag none (every comparison false), and > 1 would
     // accept any outcome — all three are configuration mistakes, rejected
     // up front instead of producing a silently meaningless run.
-    const auto valid_tol = [](double t) {
-        return std::isfinite(t) && t > 0.0 && t <= 1.0;
-    };
-    UAVDC_REQUIRE(valid_tol(cfg.fast_rel_tol))
-        << "fuzz_conformance: fast_rel_tol must be a finite fraction in "
-        << "(0, 1], got " << cfg.fast_rel_tol;
-    UAVDC_REQUIRE(valid_tol(cfg.reduction_rel_tol))
+    const double tol = cfg.reduction_rel_tol;
+    UAVDC_REQUIRE(std::isfinite(tol) && tol > 0.0 && tol <= 1.0)
         << "fuzz_conformance: reduction_rel_tol must be a finite fraction "
-        << "in (0, 1], got " << cfg.reduction_rel_tol;
+        << "in (0, 1], got " << tol;
     ConformanceFuzzSummary summary;
     if (cfg.instances <= 0) return summary;
     std::vector<std::string> planners =

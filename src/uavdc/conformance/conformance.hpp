@@ -24,8 +24,6 @@ struct ConformanceMismatch {
         kEnergyModels,          ///< FlightPlan::energy vs EnergyView vs
                                 ///< Battery replay
         kValidatorMissedAbort,  ///< simulator aborted, validate_plan silent
-        kFastScoringDrift,      ///< epsilon tier: kIncrementalFast outcome
-                                ///< drifted beyond the documented tolerance
         kReductionQualityDrift, ///< pruned candidate set collected less
                                 ///< than (1 - tol) of the unpruned volume
     };
@@ -77,20 +75,6 @@ struct ConformanceFuzzConfig {
     /// feasible plan never exercises.
     bool stress_energy = true;
     int max_failures = 8;  ///< stop collecting after this many failed cases
-    /// Epsilon-conformance tier (opt-in). For every scoring-aware planner
-    /// (alg2/alg3/benchmark) additionally plan with
-    /// `ScoringEngine::kIncrementalFast`, run the fast plan through the same
-    /// cross-layer checks, and compare its outcome metrics (collected MB,
-    /// spent energy, executed time) against the default engine's plan.
-    ///
-    /// The fast engine reassociates residual-gain sums into eight fixed-lane
-    /// accumulators, so its plans are deliberately NOT bit-identical to the
-    /// default engine's — only epsilon-close. `fast_rel_tol` is the
-    /// documented tolerance: metric pairs must agree to within this relative
-    /// error (absolute below 1). Violations surface as
-    /// `Check::kFastScoringDrift` mismatches.
-    bool check_fast_scoring = false;
-    double fast_rel_tol = 1e-9;
     /// Pruned-vs-unpruned quality tier (opt-in). For alg2/alg3 additionally
     /// plan with candidate-space reduction enabled, run the reduced plan
     /// through the same cross-layer checks, and require its collected

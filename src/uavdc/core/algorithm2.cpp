@@ -80,10 +80,9 @@ double rank_ratio(RatioRule rule, double new_mb, double extra_hover,
 /// and each candidate's residual prize P'(s) and dwell t'(s) (Eq. 11-12),
 /// rescanned only for candidates whose coverage meets a newly covered
 /// device. The ordered kernel walks the forward CSR coverage list with the
-/// exact accumulation order of the reference residual_gain (bit-identical);
-/// the opt-in fast kernel reassociates the sum into 8 fixed lanes (epsilon
-/// tier). A selected candidate covers nothing new afterwards, so its key
-/// drops below zero and the loop retires it.
+/// exact accumulation order of the reference residual_gain (bit-identical).
+/// A selected candidate covers nothing new afterwards, so its key drops
+/// below zero and the loop retires it.
 class CoveragePolicy {
   public:
     CoveragePolicy(const PlanningContext& ctx, const CandidateView& view,
@@ -166,14 +165,9 @@ class CoveragePolicy {
   private:
     void refresh_gain(std::size_t i) {
         const auto cov = view_.set->covered(i);
-        const kernels::GainAccum g =
-            cfg_.scoring == ScoringEngine::kIncrementalFast
-                ? kernels::residual_gain_fast(
-                      cov.data(), cov.size(), dsoa_.data_mb.data(),
-                      dsoa_.upload_s.data(), covered_.data())
-                : kernels::residual_gain_ordered(
-                      cov.data(), cov.size(), dsoa_.data_mb.data(),
-                      dsoa_.upload_s.data(), covered_.data());
+        const kernels::GainAccum g = kernels::residual_gain_ordered(
+            cov.data(), cov.size(), dsoa_.data_mb.data(),
+            dsoa_.upload_s.data(), covered_.data());
         gain_mb_[i] = g.sum_mb;
         gain_dwell_[i] = g.max_s;
     }

@@ -1,9 +1,6 @@
 #include "uavdc/core/batch_kernels.hpp"
 
 #include <cmath>
-#include <cstdint>
-
-#include "uavdc/core/soa_layout.hpp"
 
 // This TU is compiled with -ffp-contract=off (see src/CMakeLists.txt): gcc
 // defaults to -ffp-contract=fast, and letting an AVX2-targeted clone fuse
@@ -236,64 +233,6 @@ void squared_insertion_lower_bounds(const double* xs, const double* ys,
     }
 #endif
     squared_insertion_lower_bounds_body(xs, ys, n, a, p, b, s1, s2);
-}
-
-// ---------------------------------------------------------------------------
-// Fast reductions (epsilon tier). The accumulation scheme is written out
-// explicitly — kSoaLanes partial sums filled round-robin, combined in a
-// fixed pairwise tree — so the result is a deterministic function of the
-// input order on every compiler/ISA, independent of auto-vectorization.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-[[nodiscard]] UAVDC_KERNEL_BODY double combine8(const double (&acc)[8]) {
-    return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-           ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-}
-
-}  // namespace
-
-GainAccum residual_gain_fast(const std::int32_t* idx, std::size_t m,
-                             const double* data_mb, const double* upload_s,
-                             const char* covered_mask) {
-    static_assert(kSoaLanes == 8);
-    double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    GainAccum g;
-    std::size_t j = 0;
-    for (; j + 8 <= m; j += 8) {
-        for (std::size_t l = 0; l < 8; ++l) {
-            const auto v = static_cast<std::size_t>(idx[j + l]);
-            if (covered_mask[v] != 0 || data_mb[v] <= 0.0) continue;
-            acc[l] += data_mb[v];
-            g.max_s = std::max(g.max_s, upload_s[v]);
-        }
-    }
-    for (std::size_t l = 0; j < m; ++j, ++l) {
-        const auto v = static_cast<std::size_t>(idx[j]);
-        if (covered_mask[v] != 0 || data_mb[v] <= 0.0) continue;
-        acc[l] += data_mb[v];
-        g.max_s = std::max(g.max_s, upload_s[v]);
-    }
-    g.sum_mb = combine8(acc);
-    return g;
-}
-
-double capped_sum_fast(const std::int32_t* idx, std::size_t m,
-                       const double* residual, double cap) {
-    static_assert(kSoaLanes == 8);
-    double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::size_t j = 0;
-    for (; j + 8 <= m; j += 8) {
-        for (std::size_t l = 0; l < 8; ++l) {
-            acc[l] +=
-                std::min(residual[static_cast<std::size_t>(idx[j + l])], cap);
-        }
-    }
-    for (std::size_t l = 0; j < m; ++j, ++l) {
-        acc[l] += std::min(residual[static_cast<std::size_t>(idx[j])], cap);
-    }
-    return combine8(acc);
 }
 
 }  // namespace uavdc::core::kernels

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 
 #include "uavdc/geom/vec2.hpp"
 
 /// Batched geometry / coverage kernels behind the SoA data plane
-/// (core/soa_layout). Two tiers:
+/// (core/soa_layout). Two kinds:
 ///
 ///  * Elementwise kernels (this header's declarations, bodies in
 ///    batch_kernels.cpp): N-at-a-time distance, insertion-edge deltas, and
@@ -18,16 +17,12 @@
 ///    every lane is bit-identical to the scalar geom::distance expression
 ///    regardless of vector width or ISA.
 ///
-///  * Reduction kernels. The *ordered* forms below are inline templates
-///    that keep the exact accumulation order of the reference engines —
-///    they exist so the hot loops read the SoA arrays (locality) without
-///    perturbing a single bit; `ScoringEngine::kIncremental` stays
-///    EXPECT_EQ-identical to the reference oracle through them. The *fast*
-///    forms (batch_kernels.cpp) accumulate into kSoaLanes fixed partial
-///    sums combined in a fixed pairwise order — deterministic on every
-///    compiler and ISA, but NOT bit-identical to the ordered sum; they back
-///    the opt-in `ScoringEngine::kIncrementalFast` epsilon-conformance tier
-///    (tolerances documented in DESIGN.md "Memory layout & vectorization").
+///  * Ordered reductions: inline templates that keep the exact
+///    accumulation order of the reference engines. They exist so the hot
+///    loops read the SoA arrays (locality) without perturbing a single bit;
+///    every scoring engine stays EXPECT_EQ-identical to the reference
+///    oracle through them. They are not reassociated: a measured 8-lane
+///    form made no plan faster (DESIGN.md "One reduction tier").
 namespace uavdc::core::kernels {
 
 // ---------------------------------------------------------------------------
@@ -179,23 +174,5 @@ template <typename Index>
     }
     return s;
 }
-
-// ---------------------------------------------------------------------------
-// Fast reductions (epsilon tier): kSoaLanes fixed partial accumulators,
-// combined pairwise in a fixed order — deterministic everywhere, within
-// O(m * ulp) of the ordered sum, never bit-guaranteed against it.
-// ---------------------------------------------------------------------------
-
-/// residual_gain_ordered with 8-lane partial sums for sum_mb (max_s is an
-/// exact reduction under any association for non-negative inputs).
-[[nodiscard]] GainAccum residual_gain_fast(const std::int32_t* idx,
-                                           std::size_t m,
-                                           const double* data_mb,
-                                           const double* upload_s,
-                                           const char* covered_mask);
-
-/// capped_sum_ordered with 8-lane partial sums.
-[[nodiscard]] double capped_sum_fast(const std::int32_t* idx, std::size_t m,
-                                     const double* residual, double cap);
 
 }  // namespace uavdc::core::kernels

@@ -19,7 +19,6 @@ std::string to_string(ScoringEngine engine) {
 std::optional<ScoringEngine> scoring_engine_from_string(
     const std::string& name) {
     if (name == "incremental") return ScoringEngine::kIncremental;
-    if (name == "incremental-fast") return ScoringEngine::kIncrementalFast;
     if (name == "reference") return ScoringEngine::kReference;
     return std::nullopt;
 }

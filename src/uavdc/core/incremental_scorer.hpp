@@ -14,28 +14,29 @@
 namespace uavdc::core {
 
 /// Which scoring engine a greedy planner (alg2, alg3, benchmark) runs.
-/// kIncremental and kReference must produce bit-identical plans; the
-/// reference engine is the from-scratch oracle the equivalence suite
-/// (tests/test_incremental_scorer.cpp) compares against. For Algorithms 2
-/// and 3, kIncremental is one lazy-greedy loop (core/lazy_greedy.hpp) run
-/// over each planner's gain policy. kIncrementalFast additionally
-/// reassociates those policies' coverage-gain sums into fixed 8-lane
-/// partials (kernels::*_fast) — deterministic on every compiler/ISA but
-/// only epsilon-equal to the oracle; it is opt-in and validated by the
-/// epsilon tier of `uavdc conformance` (tolerances in DESIGN.md "Memory
-/// layout & vectorization"). The benchmark planner has no gain sums and
-/// runs kIncrementalFast as kIncremental.
+/// There are two engines, and they produce bit-identical plans:
+/// kIncremental, and kReference, the from-scratch oracle the equivalence
+/// suite (tests/test_incremental_scorer.cpp) compares against. For
+/// Algorithms 2 and 3, kIncremental is one lazy-greedy loop
+/// (core/lazy_greedy.hpp) run over each planner's gain policy; every gain
+/// sum goes through the ordered kernels (core/batch_kernels.hpp).
+///
+/// kIncrementalFast is kept as a name only and runs kIncremental: the
+/// perfbench trace's engine crossover plans with it and reports
+/// `core.plan_ms.<planner>.incremental-fast`, so that row is now an A/A
+/// replicate of `incremental` and shows the crossover's run-to-run noise.
+/// No wire value or CLI spelling selects it.
 enum class ScoringEngine {
     kIncremental,      ///< lazy-greedy heap + inverted index + insertion cache
     kReference,        ///< from-scratch rescan of every candidate per iteration
-    kIncrementalFast,  ///< kIncremental with reassociated (8-lane) gain sums
+    kIncrementalFast,  ///< runs as kIncremental (kept for the crossover row)
 };
 
 [[nodiscard]] std::string to_string(ScoringEngine engine);
 
-/// Parses the `to_string` names ("incremental" | "incremental-fast" |
-/// "reference"); nullopt on anything else. Shared by the CLI `--scoring`
-/// flag and the service request schema so the spellings cannot drift.
+/// Parses the two engine names, "incremental" | "reference"; nullopt on
+/// anything else. Shared by the CLI `--scoring` flag and the service
+/// request schema so the spellings cannot drift.
 [[nodiscard]] std::optional<ScoringEngine> scoring_engine_from_string(
     const std::string& name);
 

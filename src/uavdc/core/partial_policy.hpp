@@ -36,9 +36,8 @@ struct Score {
 /// residual volume and the best virtual location s_{j,k} found by the last
 /// `eval` of each candidate. The gain loops walk the forward CSR coverage
 /// lists with kernels whose accumulation order matches the reference engine
-/// exactly (ordered) or reassociates into 8 fixed lanes (fast, opt-in
-/// epsilon tier). A candidate already in the tour stays live: picking it
-/// again extends its dwell (Lemma 2's replacement rule).
+/// exactly. A candidate already in the tour stays live: picking it again
+/// extends its dwell (Lemma 2's replacement rule).
 class PartialPolicy {
   public:
     PartialPolicy(const PlanningContext& ctx, const CandidateView& view,
@@ -149,11 +148,8 @@ class PartialPolicy {
 
     [[nodiscard]] double capped_sum(std::span<const std::int32_t> cov,
                                     double cap) const {
-        return cfg_.scoring == ScoringEngine::kIncrementalFast
-                   ? kernels::capped_sum_fast(cov.data(), cov.size(),
-                                              residual_.data(), cap)
-                   : kernels::capped_sum_ordered(cov.data(), cov.size(),
-                                                 residual_.data(), cap);
+        return kernels::capped_sum_ordered(cov.data(), cov.size(),
+                                           residual_.data(), cap);
     }
 
     const model::Instance& inst_;

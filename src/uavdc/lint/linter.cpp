@@ -553,10 +553,9 @@ void rule_fp_determinism(RuleContext& ctx) {
             code.find("reduction") != std::string::npos) {
             ctx.report(i, "UL012", "nondeterministic-fp-reduction",
                        "OpenMP reduction clauses combine partial sums in "
-                       "thread-completion order; use the fixed-lane "
-                       "reductions in core/batch_kernels (kSoaLanes partial "
-                       "sums, deterministic pairwise combine) so results are "
-                       "bit-stable across runs");
+                       "thread-completion order; use the ordered reductions "
+                       "in core/batch_kernels (one accumulator, list order) "
+                       "so results are bit-stable across runs");
             continue;
         }
         std::string hit;
@@ -577,7 +576,7 @@ void rule_fp_determinism(RuleContext& ctx) {
                    hit +
                        "() over floating-point values pairs terms in an "
                        "order the standard does not fix; write an explicit "
-                       "indexed loop or use the fixed-lane reductions in "
+                       "indexed loop or use the ordered reductions in "
                        "core/batch_kernels, or annotate "
                        "NOLINT(uavdc-nondeterministic-fp-reduction): <why "
                        "pairing order cannot affect results>");
@@ -931,7 +930,7 @@ const std::vector<RuleInfo>& rules() {
         {"UL012", "nondeterministic-fp-reduction",
          "no std::accumulate/reduce/transform_reduce over floating-point "
          "values and no OpenMP reduction pragmas in core/; floating "
-         "reductions use the fixed-lane batch kernels or explicit indexed "
+         "reductions use the ordered batch kernels or explicit indexed "
          "loops so planner scores are bit-stable"},
         {"UL013", "unchecked-narrowing",
          "no static_cast to a narrower integer type in core/ or service/ "

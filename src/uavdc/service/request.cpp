@@ -20,7 +20,7 @@ core::ScoringEngine scoring_from_string(const std::string& s) {
         return *engine;
     }
     bad("unknown scoring engine '" + s +
-        "' (expected incremental|incremental-fast|reference)");
+        "' (expected incremental|reference)");
 }
 
 orienteering::SolverKind solver_from_string(const std::string& s) {

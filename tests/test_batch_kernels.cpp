@@ -2,8 +2,8 @@
 // carry a bitwise contract: every lane evaluates the exact scalar
 // geom::distance expression, so results are EXPECT_EQ-identical to the
 // loops they replaced — across 0-device, 1-device, and non-multiple-of-8
-// sizes, and across 50 fuzzed generator instances. The fast reductions are
-// only epsilon-close to the ordered ones, but must be deterministic.
+// sizes, and across 50 fuzzed generator instances. The ordered reductions
+// must equal the plain scalar loops they stand for.
 
 #include <gtest/gtest.h>
 
@@ -267,48 +267,6 @@ TEST(BatchKernels, OrderedReductionsMatchReferenceLoops) {
     }
     EXPECT_EQ(kernels::capped_sum_ordered(idx.data(), m, data.data(), cap),
               capped);
-}
-
-// --- Fast reductions: epsilon-close to ordered, bitwise-deterministic.
-
-TEST(BatchKernels, FastReductionsAreCloseAndDeterministic) {
-    util::Rng rng(31);
-    for (const std::size_t m : {0u, 1u, 7u, 8u, 9u, 40u, 171u}) {
-        std::vector<std::int32_t> idx(m);
-        const std::size_t pool = std::max<std::size_t>(1, m);
-        util::AlignedVector<double> data(pool, 0.0), upload(pool, 0.0);
-        std::vector<char> mask(pool, 0);
-        for (std::size_t j = 0; j < m; ++j) {
-            idx[j] = static_cast<std::int32_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(pool) - 1));
-        }
-        for (std::size_t v = 0; v < pool; ++v) {
-            data[v] = rng.uniform(0.0, 900.0);
-            upload[v] = rng.uniform(0.0, 90.0);
-            mask[v] = rng.uniform(0.0, 1.0) < 0.2 ? 1 : 0;
-        }
-        const auto ordered = kernels::residual_gain_ordered(
-            idx.data(), m, data.data(), upload.data(), mask.data());
-        const auto fast = kernels::residual_gain_fast(
-            idx.data(), m, data.data(), upload.data(), mask.data());
-        const auto fast2 = kernels::residual_gain_fast(
-            idx.data(), m, data.data(), upload.data(), mask.data());
-        // max is exact under any association; the sum is epsilon-close.
-        EXPECT_EQ(fast.max_s, ordered.max_s) << "m=" << m;
-        EXPECT_EQ(fast.sum_mb, fast2.sum_mb) << "m=" << m;
-        const double scale = std::max(1.0, std::abs(ordered.sum_mb));
-        EXPECT_NEAR(fast.sum_mb, ordered.sum_mb, 1e-10 * scale) << "m=" << m;
-
-        const double cap = 130.0;
-        const double co =
-            kernels::capped_sum_ordered(idx.data(), m, data.data(), cap);
-        const double cf =
-            kernels::capped_sum_fast(idx.data(), m, data.data(), cap);
-        EXPECT_EQ(cf, kernels::capped_sum_fast(idx.data(), m, data.data(),
-                                               cap))
-            << "m=" << m;
-        EXPECT_NEAR(cf, co, 1e-10 * std::max(1.0, std::abs(co))) << "m=" << m;
-    }
 }
 
 }  // namespace

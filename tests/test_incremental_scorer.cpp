@@ -160,15 +160,14 @@ TEST(IncrementalEquivalence, Algorithm2ExactRatioTspMatchesReference) {
     }
 }
 
-// --- Epsilon tier: kIncrementalFast is deterministic run-to-run, and its
-// --- outcomes stay within the documented tolerance of the default engine.
-// --- (It is NOT bit-identical — the fast reductions reassociate sums —
-// --- which is exactly why it is opt-in.)
+// --- kIncrementalFast is kept only as a name (the perfbench crossover
+// --- plans with it) and runs the incremental engine: its plans must be
+// --- byte-identical to kIncremental's for every greedy planner.
 
-TEST(IncrementalEquivalence, FastEngineIsDeterministicAndEpsilonClose) {
+TEST(IncrementalEquivalence, FastEnumeratorPlansIdenticallyToIncremental) {
     util::Rng rng(4242);
     for (int trial = 0; trial < 10; ++trial) {
-        const auto inst = fuzz_instance(rng, 6, 40);
+        auto inst = fuzz_instance(rng, 6, 40);
         const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
         const std::string tag = "fast trial " + std::to_string(trial);
 
@@ -177,32 +176,29 @@ TEST(IncrementalEquivalence, FastEngineIsDeterministicAndEpsilonClose) {
         cfg.scoring = ScoringEngine::kIncremental;
         const auto base = GreedyCoveragePlanner(cfg).plan(*ctx);
         cfg.scoring = ScoringEngine::kIncrementalFast;
-        const auto fast = GreedyCoveragePlanner(cfg).plan(*ctx);
-        expect_identical(fast, GreedyCoveragePlanner(cfg).plan(*ctx),
-                         tag + " alg2 rerun");
-        EXPECT_NEAR(fast.stats.planned_mb, base.stats.planned_mb,
-                    1e-9 * std::max(1.0, base.stats.planned_mb))
-            << tag;
-        EXPECT_NEAR(fast.stats.planned_energy_j, base.stats.planned_energy_j,
-                    1e-9 * std::max(1.0, base.stats.planned_energy_j))
-            << tag;
+        expect_identical(base, GreedyCoveragePlanner(cfg).plan(*ctx),
+                         tag + " alg2");
 
-        Algorithm3Config cfg3;
-        cfg3.candidates = hover_cfg(inst);
-        cfg3.k = 1 + trial % 3;
-        cfg3.scoring = ScoringEngine::kIncremental;
-        const auto base3 = PartialCollectionPlanner(cfg3).plan(*ctx);
-        cfg3.scoring = ScoringEngine::kIncrementalFast;
-        const auto fast3 = PartialCollectionPlanner(cfg3).plan(*ctx);
-        expect_identical(fast3, PartialCollectionPlanner(cfg3).plan(*ctx),
-                         tag + " alg3 rerun");
-        EXPECT_NEAR(fast3.stats.planned_mb, base3.stats.planned_mb,
-                    1e-9 * std::max(1.0, base3.stats.planned_mb))
-            << tag;
-        EXPECT_NEAR(fast3.stats.planned_energy_j,
-                    base3.stats.planned_energy_j,
-                    1e-9 * std::max(1.0, base3.stats.planned_energy_j))
-            << tag;
+        for (const int k : {1, 2, 4}) {
+            Algorithm3Config cfg3;
+            cfg3.candidates = hover_cfg(inst);
+            cfg3.k = k;
+            cfg3.scoring = ScoringEngine::kIncremental;
+            const auto base3 = PartialCollectionPlanner(cfg3).plan(*ctx);
+            cfg3.scoring = ScoringEngine::kIncrementalFast;
+            expect_identical(base3, PartialCollectionPlanner(cfg3).plan(*ctx),
+                             tag + " alg3 k=" + std::to_string(k));
+        }
+
+        // Shrink the budget on half the trials so the prune loop runs.
+        if (trial % 2 == 0) inst.uav.energy_j *= 0.35;
+        const auto bctx = PlanningContext::build(inst, hover_cfg(inst));
+        BenchmarkPlannerConfig bcfg;
+        bcfg.scoring = ScoringEngine::kIncremental;
+        const auto bench = PruneTspPlanner(bcfg).plan(*bctx);
+        bcfg.scoring = ScoringEngine::kIncrementalFast;
+        expect_identical(bench, PruneTspPlanner(bcfg).plan(*bctx),
+                         tag + " benchmark");
         if (::testing::Test::HasFailure()) break;
     }
 }

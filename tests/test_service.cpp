@@ -977,6 +977,38 @@ TEST(Service, OutOfRangeWorkMultipliersAreBadRequests) {
     EXPECT_EQ(summary.stats.internal_errors, 0u);
 }
 
+TEST(Service, RetiredScoringSpellingIsABadRequest) {
+    // The wire names two scoring engines. "incremental-fast" is no longer
+    // one of them: it is refused at parse time, naming the accepted
+    // values, and the service goes on answering.
+    const auto inst = uavdc::testing::small_instance(12, 180.0, 93);
+    std::ostringstream input;
+    io::Json bad = to_json(make_request("fast", "alg2", inst));
+    bad["options"]["scoring"] = "incremental-fast";
+    input << bad.dump() << "\n";
+    io::Json good = to_json(make_request("next", "alg2", inst));
+    good["options"]["scoring"] = "incremental";
+    input << good.dump() << "\n";
+
+    JsonlConfig cfg;
+    cfg.service.workers = 1;
+    cfg.service.defaults = fast_options();
+    std::istringstream in(input.str());
+    std::ostringstream out;
+    const JsonlSummary summary = serve_jsonl(in, out, cfg);
+
+    std::map<std::string, io::Json> got;
+    for (auto& doc : parse_lines(out.str())) {
+        got[doc.string_or("id", "")] = std::move(doc);
+    }
+    const io::Json& resp = got.at("fast");
+    const std::string error = resp.string_or("error", "");
+    EXPECT_EQ(resp.string_or("status", ""), "bad_request") << error;
+    EXPECT_NE(error.find("incremental|reference"), std::string::npos) << error;
+    EXPECT_EQ(got.at("next").string_or("status", ""), "ok");
+    EXPECT_EQ(summary.stats.internal_errors, 0u);
+}
+
 /// `response_line` is the one response serializer: its bytes must be the
 /// io::Json dump of the document they parse to, or a client that re-dumps
 /// a response (and the golden check) would see other bytes.

@@ -210,5 +210,38 @@ TEST(Presets, ScenarioDeployments) {
     EXPECT_EQ(farm_monitoring().deployment, Deployment::kGridJitter);
 }
 
+TEST(HaltonDeployment, EvenAndInRegion) {
+    GeneratorConfig cfg = paper_scaled(0.3);
+    cfg.deployment = Deployment::kHalton;
+    const auto inst = generate(cfg, 3);
+    EXPECT_EQ(to_string(cfg.deployment), "halton");
+    for (const auto& d : inst.devices) {
+        EXPECT_TRUE(inst.region.contains(d.pos));
+    }
+    // Low discrepancy: split the region into 4 quadrants; each holds
+    // roughly a quarter of the devices (much tighter than iid uniform).
+    int quadrants[4] = {0, 0, 0, 0};
+    for (const auto& d : inst.devices) {
+        const int qx = d.pos.x < cfg.region_w / 2 ? 0 : 1;
+        const int qy = d.pos.y < cfg.region_h / 2 ? 0 : 1;
+        ++quadrants[qy * 2 + qx];
+    }
+    const double expect = static_cast<double>(inst.devices.size()) / 4.0;
+    for (int q : quadrants) {
+        EXPECT_NEAR(q, expect, 0.15 * expect + 2.0);
+    }
+}
+
+TEST(HaltonDeployment, DeterministicPositionsIgnoreSeedForLayout) {
+    GeneratorConfig cfg = paper_scaled(0.2);
+    cfg.deployment = Deployment::kHalton;
+    const auto a = generate(cfg, 1);
+    const auto b = generate(cfg, 2);
+    // Positions are the Halton sequence (seed-independent); volumes differ.
+    for (std::size_t i = 0; i < a.devices.size(); ++i) {
+        EXPECT_EQ(a.devices[i].pos, b.devices[i].pos);
+    }
+}
+
 }  // namespace
 }  // namespace uavdc::workload
