@@ -12,7 +12,6 @@
 #include "uavdc/core/algorithm3.hpp"
 #include "uavdc/core/benchmark_planner.hpp"
 #include "uavdc/core/evaluate.hpp"
-#include "uavdc/core/incremental_scorer.hpp"
 #include "uavdc/core/planning_context.hpp"
 #include "uavdc/core/registry.hpp"
 #include "uavdc/io/json.hpp"
@@ -287,21 +286,18 @@ PlannerFactory benchmark_factory() {
 
 namespace {
 
-/// One tracked perf case: a seeded instance plus a planner parameterised
-/// only by the scoring engine.
+/// One tracked perf case: a seeded instance plus the planner to time.
 struct BaselineCase {
     std::string name;
     workload::GeneratorConfig gen;
     core::HoverCandidateConfig hover;
-    std::function<std::unique_ptr<core::Planner>(core::ScoringEngine)> make;
+    std::function<std::unique_ptr<core::Planner>()> make;
 };
 
 std::vector<BaselineCase> baseline_cases(bool quick) {
     std::vector<BaselineCase> cases;
 
-    // Largest alg2 case: paper-scale field, >= 500 hover candidates. The
-    // headline number — the incremental engine must hold a >= 3x speedup
-    // here (and >= 10x on the exact-ratio-TSP case below).
+    // Largest alg2 case: paper-scale field, >= 500 hover candidates.
     {
         BaselineCase c;
         c.name = "alg2_greedy_large";
@@ -312,43 +308,9 @@ std::vector<BaselineCase> baseline_cases(bool quick) {
         c.hover.delta_m = quick ? 10.0 : 8.0;
         c.hover.max_candidates = 6000;
         const auto hover = c.hover;
-        c.make = [hover](core::ScoringEngine engine) {
+        c.make = [hover] {
             core::Algorithm2Config cfg;
             cfg.candidates = hover;
-            cfg.scoring = engine;
-            return std::make_unique<core::GreedyCoveragePlanner>(cfg);
-        };
-        cases.push_back(std::move(c));
-    }
-
-    // Literal Eq. 13 ranking (full re-tour per candidate): the reference
-    // engine pays O(M) Christofides calls per insertion, the incremental
-    // engine serves them lazily off upper bounds + the distance matrix.
-    {
-        BaselineCase c;
-        c.name = "alg2_exact_ratio_tsp";
-        c.gen = workload::paper_scaled(0.35);
-        c.gen.num_devices = quick ? 40 : 400;
-        // Clustered, data-heavy devices: candidates cover several devices
-        // each and dwell (hover) energy dominates travel, so the lazy-greedy
-        // hover-only upper bound stays discriminating and prunes most of the
-        // per-iteration Christofides evaluations. The light travel rate
-        // keeps the workload in that hover-dominated regime (a sensor-heavy
-        // field surveyed by an efficient fixed-rotor platform).
-        c.gen.deployment = workload::Deployment::kClustered;
-        c.gen.clusters = quick ? 5 : 32;
-        c.gen.cluster_stddev = 30.0;
-        c.gen.min_mb *= 20.0;
-        c.gen.max_mb *= 20.0;
-        c.gen.uav.travel_rate = 20.0;
-        c.gen.uav.energy_j = quick ? 4.0e5 : 8.0e6;
-        c.hover.delta_m = quick ? 25.0 : 8.0;
-        const auto hover = c.hover;
-        c.make = [hover](core::ScoringEngine engine) {
-            core::Algorithm2Config cfg;
-            cfg.candidates = hover;
-            cfg.exact_ratio_tsp = true;
-            cfg.scoring = engine;
             return std::make_unique<core::GreedyCoveragePlanner>(cfg);
         };
         cases.push_back(std::move(c));
@@ -362,19 +324,16 @@ std::vector<BaselineCase> baseline_cases(bool quick) {
         c.gen.uav.energy_j = quick ? 0.6e5 : 1.2e5;
         c.hover.delta_m = 10.0;
         const auto hover = c.hover;
-        c.make = [hover](core::ScoringEngine engine) {
+        c.make = [hover] {
             core::Algorithm3Config cfg;
             cfg.candidates = hover;
             cfg.k = 4;
-            cfg.scoring = engine;
             return std::make_unique<core::PartialCollectionPlanner>(cfg);
         };
         cases.push_back(std::move(c));
     }
 
-    // Alg. 1 at the service defaults (GRASP, 8 restarts). Alg. 1 has no
-    // scoring engine, so both columns time the same planner and the
-    // engine-equivalence check below holds trivially.
+    // Alg. 1 at the service defaults (GRASP, 8 restarts).
     {
         BaselineCase c;
         c.name = "alg1_grasp";
@@ -383,9 +342,7 @@ std::vector<BaselineCase> baseline_cases(bool quick) {
         c.gen.num_devices = quick ? 150 : 400;
         const auto opts = core::PlannerOptions{};
         c.hover = opts.hover_config();
-        c.make = [opts](core::ScoringEngine) {
-            return core::make_planner("alg1", opts);
-        };
+        c.make = [opts] { return core::make_planner("alg1", opts); };
         cases.push_back(std::move(c));
     }
 
@@ -396,11 +353,7 @@ std::vector<BaselineCase> baseline_cases(bool quick) {
                       : workload::paper_default();
         c.gen.num_devices = quick ? 120 : 500;
         c.gen.uav.energy_j = quick ? 0.4e5 : 3.0e5;
-        c.make = [](core::ScoringEngine engine) {
-            core::BenchmarkPlannerConfig cfg;
-            cfg.scoring = engine;
-            return std::make_unique<core::PruneTspPlanner>(cfg);
-        };
+        c.make = [] { return std::make_unique<core::PruneTspPlanner>(); };
         cases.push_back(std::move(c));
     }
     return cases;
@@ -416,7 +369,7 @@ std::vector<PlannerBaseline> run_planner_baselines(bool quick) {
     for (const auto& c : baseline_cases(quick)) {
         const auto inst = workload::generate(c.gen, 23);
         // Fresh (uncached) context; candidates built eagerly so the timed
-        // region is pure planning for both engines.
+        // region is pure planning.
         const auto ctx = core::PlanningContext::build(inst, c.hover);
         const std::size_t n_cands = ctx->candidates().size();
 
@@ -425,38 +378,16 @@ std::vector<PlannerBaseline> run_planner_baselines(bool quick) {
         row.devices = static_cast<int>(inst.devices.size());
         row.candidates = static_cast<int>(n_cands);
 
-        double planned_ref = 0.0;
-        for (const auto engine : {core::ScoringEngine::kIncremental,
-                                  core::ScoringEngine::kReference}) {
-            std::vector<double> samples;
-            samples.reserve(static_cast<std::size_t>(reps));
-            for (int r = 0; r < reps; ++r) {
-                const auto planner = c.make(engine);
-                const auto res = planner->plan(*ctx);
-                samples.push_back(res.stats.runtime_s);
-                if (engine == core::ScoringEngine::kIncremental) {
-                    row.planned_mb = res.stats.planned_mb;
-                    row.iterations = res.stats.iterations;
-                } else {
-                    planned_ref = res.stats.planned_mb;
-                }
-            }
-            const TimingStats t = timing_stats(std::move(samples));
-            if (engine == core::ScoringEngine::kIncremental) {
-                row.incremental_s = t.min_s;
-                row.incremental = t;
-            } else {
-                row.reference_s = t.min_s;
-                row.reference = t;
-            }
+        std::vector<double> samples;
+        samples.reserve(static_cast<std::size_t>(reps));
+        for (int r = 0; r < reps; ++r) {
+            const auto res = c.make()->plan(*ctx);
+            samples.push_back(res.stats.runtime_s);
+            row.planned_mb = res.stats.planned_mb;
+            row.iterations = res.stats.iterations;
         }
-        // The baseline doubles as an equivalence check: bit-identical plans
-        // imply bit-identical planned volume.
-        UAVDC_CHECK(row.planned_mb == planned_ref)
-            << c.name << ": engines disagree (incremental "
-            << row.planned_mb << " MB vs reference " << planned_ref
-            << " MB)";
-        row.speedup = row.reference_s / std::max(row.incremental_s, 1e-12);
+        row.incremental = timing_stats(std::move(samples));
+        row.incremental_s = row.incremental.min_s;
         rows.push_back(std::move(row));
     }
     return rows;
@@ -465,7 +396,7 @@ std::vector<PlannerBaseline> run_planner_baselines(bool quick) {
 void write_planner_baselines(const std::string& path, bool quick,
                              const std::vector<PlannerBaseline>& rows) {
     io::Json doc;
-    doc["schema"] = "uavdc-bench-planners-v1";
+    doc["schema"] = "uavdc-bench-planners-v2";
     doc["quick"] = quick;
     io::Json::Array cases;
     for (const auto& r : rows) {
@@ -476,14 +407,10 @@ void write_planner_baselines(const std::string& path, bool quick,
         c["iterations"] = r.iterations;
         c["planned_mb"] = r.planned_mb;
         c["incremental_s"] = r.incremental_s;
-        c["reference_s"] = r.reference_s;
-        c["speedup"] = r.speedup;
-        // Rep aggregates: the regression gate prefers *_med_s when both
-        // baseline and current carry it; min stays the legacy metric above.
+        // Rep aggregates: the regression gate compares *_med_s; min stays
+        // the legacy metric above.
         c["incremental_med_s"] = r.incremental.median_s;
         c["incremental_std_s"] = r.incremental.stddev_s;
-        c["reference_med_s"] = r.reference.median_s;
-        c["reference_std_s"] = r.reference.stddev_s;
         cases.push_back(std::move(c));
     }
     doc["cases"] = std::move(cases);

@@ -118,32 +118,24 @@ struct AlgoParams {
 [[nodiscard]] PlannerFactory alg3_factory(const AlgoParams& p, int k);
 [[nodiscard]] PlannerFactory benchmark_factory();
 
-/// One row of the tracked planner perf baseline (BENCH_planners.json):
-/// the same seeded instance planned with the incremental scoring engine and
-/// with the from-scratch reference engine, plus the resulting speedup. Both
-/// engines are bit-identical by contract, so planned_mb/iterations describe
-/// either run.
+/// One row of the tracked planner perf baseline (BENCH_planners.json): one
+/// seeded instance planned by the served planner.
 struct PlannerBaseline {
     std::string name;        ///< case id, e.g. "alg2_greedy_large"
     int devices{0};          ///< instance size
     int candidates{0};       ///< hover-candidate count (>= 500 for *_large)
     int iterations{0};       ///< greedy iterations / prune rounds
-    double planned_mb{0.0};  ///< planned volume (engine-independent)
-    double incremental_s{0.0};  ///< best wall time, incremental engine
-    double reference_s{0.0};    ///< best wall time, reference engine
-    double speedup{0.0};        ///< reference_s / incremental_s
-    TimingStats incremental;    ///< full rep aggregates, incremental engine
-    TimingStats reference;      ///< full rep aggregates, reference engine
+    double planned_mb{0.0};  ///< planned volume
+    double incremental_s{0.0};  ///< best wall time
+    TimingStats incremental;    ///< full rep aggregates
 };
 
-/// Run the tracked planner perf cases (alg2 large grid, alg2 exact-ratio
-/// TSP, alg3, benchmark prune) with both scoring engines. `quick` shrinks
-/// the instances for CI smoke runs; full mode is what BENCH_planners.json
-/// is generated from. Throws if the engines disagree on planned_mb (the
-/// perf baseline doubles as an equivalence check).
+/// Run the tracked planner perf cases (alg2 large grid, alg3, alg1 GRASP,
+/// benchmark prune). `quick` shrinks the instances for CI smoke runs; full
+/// mode is what BENCH_planners.json is generated from.
 [[nodiscard]] std::vector<PlannerBaseline> run_planner_baselines(bool quick);
 
-/// Serialize baselines to `path` as the uavdc-bench-planners-v1 JSON schema
+/// Serialize baselines to `path` as the uavdc-bench-planners-v2 JSON schema
 /// consumed by scripts/perf_gate.py.
 void write_planner_baselines(const std::string& path, bool quick,
                              const std::vector<PlannerBaseline>& rows);

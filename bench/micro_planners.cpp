@@ -2,10 +2,9 @@
 // solvers at fixed small scale (planner scaling curves live in the fig*
 // harnesses; these catch per-commit performance regressions).
 //
-// With --baseline_out=<path> the binary instead runs the tracked
-// incremental-vs-reference scoring-engine cases and writes the
-// BENCH_planners.json schema (add --quick for the variant that
-// scripts/perf_gate.py runs on base and head).
+// With --baseline_out=<path> the binary instead times the tracked planner
+// cases and writes the BENCH_planners.json schema (add --quick for the
+// variant that scripts/perf_gate.py runs on base and head).
 
 #include <benchmark/benchmark.h>
 
@@ -126,9 +125,9 @@ int main(int argc, char** argv) {
         for (const auto& r : rows) {
             std::printf(
                 "%-22s devices=%-4d candidates=%-5d iter=%-5d "
-                "inc=%.4fs ref=%.4fs speedup=%.1fx\n",
+                "min=%.4fs med=%.4fs\n",
                 r.name.c_str(), r.devices, r.candidates, r.iterations,
-                r.incremental_s, r.reference_s, r.speedup);
+                r.incremental_s, r.incremental.median_s);
         }
         bench::write_planner_baselines(
             flags.get_string("baseline_out", "BENCH_planners.json"), quick,

@@ -4,7 +4,6 @@
 
 #include "uavdc/core/candidate_reduction.hpp"
 #include "uavdc/core/hover_candidates.hpp"
-#include "uavdc/core/incremental_scorer.hpp"
 #include "uavdc/core/planner.hpp"
 
 namespace uavdc::core {
@@ -25,11 +24,6 @@ struct Algorithm2Config {
     HoverCandidateConfig candidates;
     /// Candidate-ranking rule (the paper's Eq. 13 by default).
     RatioRule ratio_rule = RatioRule::kPaper;
-    /// Rank candidates with the literal paper rule — a full Christofides
-    /// re-tour TSP(S_j) per candidate per iteration (O(M) TSP calls per
-    /// insertion). Tractable only for small instances; the default uses the
-    /// cheapest-insertion travel delta instead (DESIGN.md substitution #3).
-    bool exact_ratio_tsp = false;
     /// Re-optimise the tour (Christofides + 2-opt over the selected stops)
     /// after this many insertions; 0 disables periodic re-touring (a final
     /// re-tour still runs). Shorter tours free energy for more stops.
@@ -41,11 +35,6 @@ struct Algorithm2Config {
     /// exceed this many seconds (0 = unconstrained). An operational
     /// extension beyond the paper's energy-only budget.
     double max_tour_time_s = 0.0;
-    /// Scoring engine. kIncremental (lazy-greedy heap + inverted coverage
-    /// index + insertion cache) and kReference (full rescan per iteration)
-    /// produce bit-identical plans; the reference engine is the equivalence
-    /// oracle.
-    ScoringEngine scoring = ScoringEngine::kIncremental;
     /// Candidate-space reduction applied before planning (disabled by
     /// default). When `reduction.refine_band_m > 0` the planner re-plans
     /// once over the reduced set plus the originals within the band of the
@@ -69,8 +58,8 @@ class GreedyCoveragePlanner final : public Planner {
     using Planner::plan;
     /// Runs `plan_view` through `plan_over_candidates` with `cfg.reduction`.
     [[nodiscard]] PlanResult plan(const PlanningContext& ctx) override;
-    /// One run of the configured scoring engine over a non-empty `view`,
-    /// without reduction, refine or fallback.
+    /// One lazy-greedy run over a non-empty `view`, without reduction,
+    /// refine or fallback.
     [[nodiscard]] PlanResult plan_view(const PlanningContext& ctx,
                                        const CandidateView& view);
     [[nodiscard]] HoverCandidateConfig candidate_config() const override {
@@ -79,9 +68,6 @@ class GreedyCoveragePlanner final : public Planner {
     [[nodiscard]] std::string name() const override { return "alg2-greedy"; }
 
   private:
-    [[nodiscard]] PlanResult plan_reference(const PlanningContext& ctx,
-                                            const CandidateView& view);
-
     Algorithm2Config cfg_;
 };
 

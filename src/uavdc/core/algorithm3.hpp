@@ -2,7 +2,6 @@
 
 #include "uavdc/core/candidate_reduction.hpp"
 #include "uavdc/core/hover_candidates.hpp"
-#include "uavdc/core/incremental_scorer.hpp"
 #include "uavdc/core/planner.hpp"
 
 namespace uavdc::core {
@@ -21,9 +20,6 @@ struct Algorithm3Config {
     /// Optional mission deadline on T = T_h + T_t in seconds
     /// (0 = unconstrained); see Algorithm2Config::max_tour_time_s.
     double max_tour_time_s = 0.0;
-    /// Scoring engine (see Algorithm2Config::scoring); both engines produce
-    /// bit-identical plans.
-    ScoringEngine scoring = ScoringEngine::kIncremental;
     /// Candidate-space reduction applied before planning (disabled by
     /// default); see Algorithm2Config::reduction.
     CandidateReductionConfig reduction;
@@ -49,8 +45,8 @@ class PartialCollectionPlanner final : public Planner {
     using Planner::plan;
     /// Runs `plan_view` through `plan_over_candidates` with `cfg.reduction`.
     [[nodiscard]] PlanResult plan(const PlanningContext& ctx) override;
-    /// One run of the configured scoring engine over a non-empty `view`,
-    /// without reduction, refine or fallback.
+    /// One lazy-greedy run over a non-empty `view`, without reduction,
+    /// refine or fallback.
     [[nodiscard]] PlanResult plan_view(const PlanningContext& ctx,
                                        const CandidateView& view);
     [[nodiscard]] HoverCandidateConfig candidate_config() const override {
@@ -61,9 +57,6 @@ class PartialCollectionPlanner final : public Planner {
     }
 
   private:
-    [[nodiscard]] PlanResult plan_reference(const PlanningContext& ctx,
-                                            const CandidateView& view);
-
     Algorithm3Config cfg_;
 };
 

@@ -18,10 +18,10 @@
 ///    regardless of vector width or ISA.
 ///
 ///  * Ordered reductions: inline templates that keep the exact
-///    accumulation order of the reference engines. They exist so the hot
-///    loops read the SoA arrays (locality) without perturbing a single bit;
-///    every scoring engine stays EXPECT_EQ-identical to the reference
-///    oracle through them. They are not reassociated: a measured 8-lane
+///    accumulation order of the from-scratch loops in the test oracle
+///    (tests/greedy_oracle.hpp). They exist so the hot loops read the SoA
+///    arrays (locality) without perturbing a single bit; the served plans
+///    stay EXPECT_EQ-identical to the oracle's through them. They are not reassociated: a measured 8-lane
 ///    form made no plan faster (DESIGN.md "One reduction tier").
 namespace uavdc::core::kernels {
 
@@ -84,7 +84,7 @@ void squared_insertion_lower_bounds(const double* xs, const double* ys,
                                     geom::Vec2 b, double* s1, double* s2);
 
 // ---------------------------------------------------------------------------
-// Ordered reductions (bit-identical to the reference engines' loops).
+// Ordered reductions (bit-identical to the test oracle's loops).
 // Inline templates so both the int (HoverCandidate::covered) and
 // std::int32_t (CSR) index types route through one definition; they are
 // deliberately scalar — reassociating them would break the EXPECT_EQ
@@ -99,7 +99,7 @@ struct GainAccum {
 /// Algorithm 2's residual prize P'(s) and dwell t'(s) (Eq. 11-12): over the
 /// candidate's covered list, sum data of uncovered devices with positive
 /// data and take the max precomputed upload time. Accumulation order is the
-/// covered-list order, exactly as the reference residual_gain.
+/// covered-list order, exactly as the oracle's residual_gain.
 template <typename Index>
 [[nodiscard]] GainAccum residual_gain_ordered(const Index* idx, std::size_t m,
                                               const double* data_mb,

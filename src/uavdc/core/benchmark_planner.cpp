@@ -26,7 +26,6 @@ PlanResult PruneTspPlanner::plan(const PlanningContext& ctx) {
 
     const double bw = inst.uav.bandwidth_mbps;
     const double eta_h = inst.uav.hover_power_w;
-    const bool incremental = cfg_.scoring != ScoringEngine::kReference;
 
     // Initial tour over every device (cheapest insertion, then a
     // Christofides + 2-opt pass — the paper's "closed tour C that includes
@@ -41,10 +40,10 @@ PlanResult PruneTspPlanner::plan(const PlanningContext& ctx) {
     }
     tour.reoptimize();
 
-    // Removal score of the stop at tour position i. The incremental engine
-    // caches these: removal_delta(i) depends only on stops i-1, i, i+1, so
-    // deleting position w invalidates positions w-1 and w of the shrunken
-    // tour and nothing else — bit-identical values, recomputed O(1) per
+    // Removal score of the stop at tour position i, cached: removal_delta(i)
+    // depends only on stops i-1, i, i+1, so deleting position w invalidates
+    // positions w-1 and w of the shrunken tour and nothing else. The values
+    // are bit-identical to a full rescan per round, recomputed O(1) per
     // round instead of O(n).
     auto prune_ratio = [&](std::size_t i) {
         const auto& d =
@@ -53,12 +52,9 @@ PlanResult PruneTspPlanner::plan(const PlanningContext& ctx) {
                              inst.uav.travel_energy(-tour.removal_delta(i));
         return d.data_mb / std::max(saved, kEps);
     };
-    std::vector<double> ratio_cache;
-    if (incremental) {
-        ratio_cache.resize(tour.size());
-        for (std::size_t i = 0; i < tour.size(); ++i) {
-            ratio_cache[i] = prune_ratio(i);
-        }
+    std::vector<double> ratio_cache(tour.size());
+    for (std::size_t i = 0; i < tour.size(); ++i) {
+        ratio_cache[i] = prune_ratio(i);
     }
 
     // Prune until the tour fits the battery.
@@ -71,7 +67,7 @@ PlanResult PruneTspPlanner::plan(const PlanningContext& ctx) {
         std::size_t worst = 0;
         double worst_ratio = std::numeric_limits<double>::infinity();
         for (std::size_t i = 0; i < tour.size(); ++i) {
-            const double r = incremental ? ratio_cache[i] : prune_ratio(i);
+            const double r = ratio_cache[i];
             if (r < worst_ratio) {
                 worst_ratio = r;
                 worst = i;
@@ -82,13 +78,11 @@ PlanResult PruneTspPlanner::plan(const PlanningContext& ctx) {
         hover_energy -= d.upload_time(bw) * eta_h;
         collected_mb -= d.data_mb;
         tour.remove(worst);
-        if (incremental) {
-            ratio_cache.erase(ratio_cache.begin() +
-                              static_cast<std::ptrdiff_t>(worst));
-            // Only the removed stop's neighbours changed context.
-            if (worst > 0) ratio_cache[worst - 1] = prune_ratio(worst - 1);
-            if (worst < tour.size()) ratio_cache[worst] = prune_ratio(worst);
-        }
+        ratio_cache.erase(ratio_cache.begin() +
+                          static_cast<std::ptrdiff_t>(worst));
+        // Only the removed stop's neighbours changed context.
+        if (worst > 0) ratio_cache[worst - 1] = prune_ratio(worst - 1);
+        if (worst < tour.size()) ratio_cache[worst] = prune_ratio(worst);
     }
     if (cfg_.reoptimize_after_prune) tour.reoptimize();
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "uavdc/core/incremental_scorer.hpp"
 #include "uavdc/core/planner.hpp"
 
 namespace uavdc::core {
@@ -9,10 +8,6 @@ namespace uavdc::core {
 struct BenchmarkPlannerConfig {
     /// Re-run Christofides + 2-opt on the surviving stops once pruning ends.
     bool reoptimize_after_prune = true;
-    /// Scoring engine for the prune loop (see Algorithm2Config::scoring);
-    /// kIncremental caches removal ratios and refreshes only the removed
-    /// stop's neighbours. Both engines produce bit-identical plans.
-    ScoringEngine scoring = ScoringEngine::kIncremental;
 };
 
 /// The paper's evaluation benchmark (Sec. VII-A): build a Christofides tour

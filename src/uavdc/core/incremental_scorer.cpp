@@ -16,13 +16,6 @@ std::string to_string(ScoringEngine engine) {
     return "unknown";
 }
 
-std::optional<ScoringEngine> scoring_engine_from_string(
-    const std::string& name) {
-    if (name == "incremental") return ScoringEngine::kIncremental;
-    if (name == "reference") return ScoringEngine::kReference;
-    return std::nullopt;
-}
-
 InvertedCoverageIndex::InvertedCoverageIndex(const HoverCandidateSet& cands,
                                              std::size_t num_devices) {
     starts_.assign(num_devices + 1, 0);

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <span>
 #include <string>
@@ -13,32 +12,25 @@
 
 namespace uavdc::core {
 
-/// Which scoring engine a greedy planner (alg2, alg3, benchmark) runs.
-/// There are two engines, and they produce bit-identical plans:
-/// kIncremental, and kReference, the from-scratch oracle the equivalence
-/// suite (tests/test_incremental_scorer.cpp) compares against. For
-/// Algorithms 2 and 3, kIncremental is one lazy-greedy loop
-/// (core/lazy_greedy.hpp) run over each planner's gain policy; every gain
-/// sum goes through the ordered kernels (core/batch_kernels.hpp).
+/// Names of the greedy planners' former scoring engines. There is one
+/// engine: Algorithms 2 and 3 run the lazy-greedy loop
+/// (core/lazy_greedy.hpp) over each planner's gain policy, and the
+/// benchmark runs its cached prune loop. The from-scratch rescans live on
+/// only as the test oracle (tests/greedy_oracle.hpp).
 ///
-/// kIncrementalFast is kept as a name only and runs kIncremental: the
-/// perfbench trace's engine crossover plans with it and reports
-/// `core.plan_ms.<planner>.incremental-fast`, so that row is now an A/A
-/// replicate of `incremental` and shows the crossover's run-to-run noise.
-/// No wire value or CLI spelling selects it.
+/// Nothing in the library reads these values. They are kept because the
+/// perfbench trace's engine crossover sets `PlannerOptions::scoring` to
+/// each of them and reports `core.plan_ms.<planner>.<to_string(engine)>`,
+/// so every crossover row, `reference` included, is an A/A replicate of
+/// the one engine and shows the crossover's run-to-run noise. No wire
+/// value or CLI flag selects them.
 enum class ScoringEngine {
-    kIncremental,      ///< lazy-greedy heap + inverted index + insertion cache
-    kReference,        ///< from-scratch rescan of every candidate per iteration
-    kIncrementalFast,  ///< runs as kIncremental (kept for the crossover row)
+    kIncremental,      ///< the one engine (crossover row `incremental`)
+    kReference,        ///< runs the one engine (crossover row `reference`)
+    kIncrementalFast,  ///< runs the one engine (row `incremental-fast`)
 };
 
 [[nodiscard]] std::string to_string(ScoringEngine engine);
-
-/// Parses the two engine names, "incremental" | "reference"; nullopt on
-/// anything else. Shared by the CLI `--scoring` flag and the service
-/// request schema so the spellings cannot drift.
-[[nodiscard]] std::optional<ScoringEngine> scoring_engine_from_string(
-    const std::string& name);
 
 /// CSR inverted index mapping each device to the hover candidates whose
 /// coverage set contains it. Covering a device then touches only
@@ -70,8 +62,8 @@ class InvertedCoverageIndex {
 /// Entries carry a per-candidate version; `update()` bumps the version and
 /// pushes a fresh entry, so stale heap entries are recognised and discarded
 /// on pop. The heap orders by (key desc, index asc) — the same deterministic
-/// lexicographic rule the reference scorer's ascending argmax scan applies —
-/// so serial and parallel planner paths pick identical candidates.
+/// lexicographic rule the oracle's ascending argmax scan applies — so serial
+/// and parallel planner paths pick identical candidates.
 class LazyGreedyQueue {
   public:
     explicit LazyGreedyQueue(std::size_t n)
@@ -120,18 +112,16 @@ class LazyGreedyQueue {
 
     /// Lazy argmax. Pops entries in (key desc, index asc) order and calls
     /// `eval(i) -> {exact_score, selectable}` on each until the top key can
-    /// no longer lexicographically beat the best evaluated candidate.
+    /// no longer lexicographically beat the best evaluated candidate. Keys
+    /// must bound the exact scores from above.
     ///
-    /// `exact_keys` selects the re-enqueue policy:
-    ///  - true (policy A): an unselectable pop is dropped from the heap —
-    ///    valid only when unselectability is monotone until the next
-    ///    `update()` of that candidate (energy/deadline feasibility between
-    ///    re-keys: Alg. 2's exact-score keys and Alg. 3's upper bounds).
-    ///  - false (policy B): every evaluated, non-picked candidate is
-    ///    re-enqueued under its current key (Alg. 2's `exact_ratio_tsp`
-    ///    bounds).
+    /// An evaluated, selectable candidate that is not picked is re-enqueued
+    /// under its current key. An unselectable one is dropped until its next
+    /// `update()`, which is valid only while unselectability is monotone
+    /// between two updates (energy/deadline feasibility between re-keys:
+    /// Alg. 2's exact-score keys and Alg. 3's upper bounds).
     template <typename Eval>
-    Pick pop_best(bool exact_keys, Eval&& eval) {
+    Pick pop_best(Eval&& eval) {
         Pick best;
         evaluated_.clear();
         while (!heap_.empty()) {
@@ -155,10 +145,9 @@ class LazyGreedyQueue {
             }
         }
         // Re-enqueue after the loop (re-pushing inside it would re-pop the
-        // same entries forever under policy B).
+        // same entries).
         for (const auto& [idx, selectable] : evaluated_) {
-            if (best.found && idx == best.index) continue;
-            if (exact_keys && !selectable) continue;
+            if (!selectable || (best.found && idx == best.index)) continue;
             heap_.push(Entry{key_[idx], idx, version_[idx]});
         }
         return best;

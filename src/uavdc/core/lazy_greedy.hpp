@@ -1,8 +1,8 @@
 #pragma once
 
-// The lazy-greedy insertion loop behind the incremental engines of
-// Algorithms 2 and 3. Internal to core/algorithm2.cpp and
-// core/partial_policy.hpp; each supplies its gain state as a policy.
+// The lazy-greedy insertion loop behind Algorithms 2 and 3. Internal to
+// core/algorithm2.cpp and core/partial_policy.hpp; each supplies its gain
+// state as a policy.
 
 #include <algorithm>
 #include <cstddef>
@@ -58,8 +58,10 @@ struct Take {
 ///
 /// `Policy` is built as `Policy(ctx, view, cfg, state, mr, parallel)` and
 /// holds the planner's gain state. It provides:
-///  - `bool exact_keys`: the `LazyGreedyQueue::pop_best` re-enqueue policy;
-///  - `double key(j)`: the heap key of live candidate j, < 0 retires j;
+///  - `double key(j)`: the heap key of live candidate j, < 0 retires j. It
+///    bounds j's exact ratio from above, and a j that `eval` finds
+///    unselectable must stay so until its key is next set
+///    (`LazyGreedyQueue::pop_best`);
 ///  - `std::pair<double, bool> eval(j)`: exact ratio and selectability;
 ///  - `Take pick(best)`: what selecting `best` collects;
 ///  - `bool drain(device)`: applies that pick to one device `best` covers,
@@ -128,8 +130,8 @@ template <typename Policy, typename Config>
     std::pmr::vector<int> kept_keys(mr);
     for (;;) {
         ++iterations;
-        const auto found = queue.pop_best(
-            policy.exact_keys, [&](std::size_t j) { return policy.eval(j); });
+        const auto found =
+            queue.pop_best([&](std::size_t j) { return policy.eval(j); });
         if (!found.found) break;
         const std::size_t best = found.index;
         const Take take = policy.pick(best);

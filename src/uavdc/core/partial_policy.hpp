@@ -1,8 +1,8 @@
 #pragma once
 
 // Algorithm 3's gain state for the lazy-greedy loop (core/lazy_greedy.hpp).
-// Internal to core/algorithm3.cpp; tests include it to replay the loop
-// under the other re-enqueue policy.
+// Internal to core/algorithm3.cpp; tests include it to watch the loop's
+// evaluations.
 
 #include <algorithm>
 #include <cstddef>
@@ -26,7 +26,6 @@ inline constexpr double kMinGainMb = 1e-6;
 struct Score {
     double new_mb{0.0};    ///< P'(s_{j,k}) under current residuals
     double extra_dwell_s{0.0};  ///< k * t'(s_j) / K
-    TourBuilder::Insertion ins{};
     bool in_tour{false};
     bool feasible{false};
     double ratio{-1.0};
@@ -35,7 +34,7 @@ struct Score {
 /// Algorithm 3's gain state for the shared lazy-greedy loop: each device's
 /// residual volume and the best virtual location s_{j,k} found by the last
 /// `eval` of each candidate. The gain loops walk the forward CSR coverage
-/// lists with kernels whose accumulation order matches the reference engine
+/// lists with kernels whose accumulation order matches the oracle engine
 /// exactly. A candidate already in the tour stays live: picking it again
 /// extends its dwell (Lemma 2's replacement rule).
 class PartialPolicy {
@@ -54,19 +53,18 @@ class PartialPolicy {
         }
     }
 
-    /// Policy A: an unselectable pop leaves the queue until its key is next
-    /// updated. The keys are upper bounds, but between two updates of j's
-    /// key its residuals and cached insertion stand still while the hover
-    /// energy, hover time and tour length only grow, so its feasible
-    /// virtual locations only shrink and it stays unselectable
-    /// (`IncrementalEquivalence.Algorithm3UnselectableUntilRekeyed`).
-    static constexpr bool exact_keys = true;
-
     /// Upper-bound key: the best per-k ratio *ignoring feasibility*, so the
     /// max over all k is >= the max over the feasible subset — a valid
     /// bound with no floating-point slack. -1 when the candidate is
     /// permanently dead (residuals only shrink, so t'(s) <= eps or all-k
     /// gains <= kMinGainMb can never revert).
+    ///
+    /// The queue drops an unselectable pop until its key is next updated.
+    /// That holds for these bounds too: between two updates of j's key its
+    /// residuals and cached insertion stand still while the hover energy,
+    /// hover time and tour length only grow, so its feasible virtual
+    /// locations only shrink and it stays unselectable
+    /// (`IncrementalEquivalence.Algorithm3UnselectableUntilRekeyed`).
     [[nodiscard]] double key(std::size_t j) const {
         return best_location(j, /*feasible_only=*/false).ratio;
     }
@@ -96,7 +94,7 @@ class PartialPolicy {
                  bool /*parallel*/) {}
 
   private:
-    /// Byte-for-byte the reference score_one, with the cached insertion
+    /// Byte-for-byte the oracle's score_one, with the cached insertion
     /// standing in for tour.cheapest_insertion. Without `feasible_only`
     /// the energy and deadline tests are skipped (the key).
     [[nodiscard]] Score best_location(std::size_t j,

@@ -148,8 +148,8 @@ class PlanningContext {
     [[nodiscard]] double node_distance(std::size_t i, std::size_t j) const;
 
     /// Fill the dense graph `g` (size nodes.size()) with the pairwise
-    /// node_distance of every pair in `nodes` — the shared induced-submatrix
-    /// path of the exact oracles (exact_dcm, exact_ratio_tsp).
+    /// node_distance of every pair in `nodes` — the induced-submatrix path
+    /// of the exact DCM oracle (core/exact_dcm).
     void fill_submatrix(std::span<const std::size_t> nodes,
                         graph::DenseGraph& g) const;
 

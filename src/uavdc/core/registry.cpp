@@ -25,7 +25,6 @@ std::unique_ptr<Planner> make_planner(const std::string& name,
     if (name == "alg2") {
         Algorithm2Config cfg;
         cfg.candidates = opts.hover_config();
-        cfg.scoring = opts.scoring;
         cfg.reduction = opts.reduction;
         return std::make_unique<GreedyCoveragePlanner>(cfg);
     }
@@ -33,14 +32,11 @@ std::unique_ptr<Planner> make_planner(const std::string& name,
         Algorithm3Config cfg;
         cfg.candidates = opts.hover_config();
         cfg.k = opts.k;
-        cfg.scoring = opts.scoring;
         cfg.reduction = opts.reduction;
         return std::make_unique<PartialCollectionPlanner>(cfg);
     }
     if (name == "benchmark") {
-        BenchmarkPlannerConfig cfg;
-        cfg.scoring = opts.scoring;
-        return std::make_unique<PruneTspPlanner>(cfg);
+        return std::make_unique<PruneTspPlanner>();
     }
     if (name == "kmeans") {
         return std::make_unique<ClusterPlanner>();

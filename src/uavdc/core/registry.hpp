@@ -25,8 +25,9 @@ struct PlannerOptions {
         HoverCandidateConfig{}.max_candidates;  ///< candidate cap (alg1/2/3)
     int k = 2;                   ///< Algorithm 3 sojourn partitions
     int grasp_iterations = 8;    ///< Algorithm 1 GRASP restarts
-    /// Scoring engine for the greedy planners (alg2/alg3/benchmark);
-    /// kReference keeps the from-scratch rescan oracle.
+    /// Read by nothing in the library: every value plans with the one
+    /// greedy engine. Kept for the perfbench engine crossover, whose rows
+    /// are A/A replicates of that engine (see `ScoringEngine`).
     ScoringEngine scoring = ScoringEngine::kIncremental;
     orienteering::SolverKind solver =
         orienteering::SolverKind::kGrasp;  ///< Algorithm 1 backend

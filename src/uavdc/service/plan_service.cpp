@@ -104,11 +104,13 @@ std::string canonical_options(const std::string& planner,
     s += ";mc=" + std::to_string(opts.max_candidates);
     s += ";k=" + std::to_string(opts.k);
     s += ";gi=" + std::to_string(opts.grasp_iterations);
-    // NOLINTBEGIN(uavdc-unchecked-narrowing): scoped-enum to int for
+    // The retired scoring switch, as the constant its default wrote, so
+    // cache keys and repository logs written by earlier builds keep their
+    // values.
+    s += ";sc=0";
+    // NOLINTNEXTLINE(uavdc-unchecked-narrowing): scoped-enum to int for
     // the cache-key text; enumerators are small compile-time constants
-    s += ";sc=" + std::to_string(static_cast<int>(opts.scoring));
     s += ";so=" + std::to_string(static_cast<int>(opts.solver));
-    // NOLINTEND(uavdc-unchecked-narrowing): end of enum cache-key casts
     const core::CandidateReductionConfig& r = opts.reduction;
     s += ";rd=" + std::to_string(r.dominance ? 1 : 0);
     s += ";rr=" + hex_bits(r.dominance_radius_m);

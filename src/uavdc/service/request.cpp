@@ -1,8 +1,11 @@
 #include "uavdc/service/request.hpp"
 
+#include <algorithm>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "uavdc/io/serialize.hpp"
 #include "uavdc/util/check.hpp"
@@ -15,12 +18,24 @@ namespace {
     throw std::runtime_error("bad request: " + what);
 }
 
-core::ScoringEngine scoring_from_string(const std::string& s) {
-    if (const auto engine = core::scoring_engine_from_string(s)) {
-        return *engine;
+/// Every key `options` may carry, in the order the error message lists.
+constexpr std::string_view kOptionKeys[] = {
+    "delta_m", "max_candidates", "k", "grasp_iterations", "solver",
+    "reduce", "reduce_coarsen", "reduce_band_m", "reduce_consolidate"};
+
+void check_option_keys(const io::Json& opts) {
+    for (const auto& entry : opts.as_object()) {
+        const std::string& key = entry.first;
+        if (std::ranges::find(kOptionKeys, key) != std::end(kOptionKeys)) {
+            continue;
+        }
+        std::string accepted;
+        for (const std::string_view k : kOptionKeys) {
+            if (!accepted.empty()) accepted += '|';
+            accepted += k;
+        }
+        bad("unknown option '" + key + "' (expected " + accepted + ")");
     }
-    bad("unknown scoring engine '" + s +
-        "' (expected incremental|reference)");
 }
 
 orienteering::SolverKind solver_from_string(const std::string& s) {
@@ -58,7 +73,6 @@ core::PlannerOptions PlannerOverrides::resolve(
     if (max_candidates) base.max_candidates = *max_candidates;
     if (k) base.k = *k;
     if (grasp_iterations) base.grasp_iterations = *grasp_iterations;
-    if (scoring) base.scoring = *scoring;
     if (solver) base.solver = *solver;
     if (reduce) base.reduction.dominance = *reduce;
     if (reduce_coarsen) base.reduction.coarsen_factor = *reduce_coarsen;
@@ -151,6 +165,7 @@ PlanRequest request_from_json(const io::Json& doc) {
     if (doc.contains("options")) {
         const io::Json& opts = doc.at("options");
         if (!opts.is_object()) bad("'options' must be an object");
+        check_option_keys(opts);
         if (opts.contains("delta_m")) {
             req.overrides.delta_m = opts.at("delta_m").as_number();
         }
@@ -163,10 +178,6 @@ PlanRequest request_from_json(const io::Json& doc) {
         if (opts.contains("grasp_iterations")) {
             req.overrides.grasp_iterations = bounded_int_field(
                 opts, "grasp_iterations", 0, kMaxGraspIterations);
-        }
-        if (opts.contains("scoring")) {
-            req.overrides.scoring =
-                scoring_from_string(opts.at("scoring").as_string());
         }
         if (opts.contains("solver")) {
             req.overrides.solver =
@@ -209,7 +220,6 @@ io::Json to_json(const PlanRequest& req) {
     if (o.max_candidates) opts["max_candidates"] = *o.max_candidates;
     if (o.k) opts["k"] = *o.k;
     if (o.grasp_iterations) opts["grasp_iterations"] = *o.grasp_iterations;
-    if (o.scoring) opts["scoring"] = core::to_string(*o.scoring);
     if (o.solver) opts["solver"] = orienteering::to_string(*o.solver);
     if (o.reduce) opts["reduce"] = *o.reduce;
     if (o.reduce_coarsen) opts["reduce_coarsen"] = *o.reduce_coarsen;

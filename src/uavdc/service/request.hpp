@@ -28,7 +28,6 @@ struct PlannerOverrides {
     std::optional<int> max_candidates;
     std::optional<int> k;
     std::optional<int> grasp_iterations;
-    std::optional<core::ScoringEngine> scoring;
     std::optional<orienteering::SolverKind> solver;
     /// Candidate-space reduction (alg2/alg3 only; other planners ignore it).
     std::optional<bool> reduce;            ///< dominance filtering on/off
@@ -95,13 +94,14 @@ struct PlanResponse {
 ///   {"id": str, "planner": str,
 ///    "instance": {...} | "instance_ref": "16-hex",
 ///    "options": {"delta_m","max_candidates","k","grasp_iterations",
-///                "scoring": "incremental"|"reference",
 ///                "solver": "exact"|"greedy"|"grasp"|"ils",
 ///                "reduce": bool, "reduce_coarsen": int,
 ///                "reduce_band_m": num, "reduce_consolidate": int},
 ///    "priority": int, "deadline_ms": num}
 /// Throws std::runtime_error (with field context) on malformed input — the
-/// transport maps that to a `bad_request` response.
+/// transport maps that to a `bad_request` response. An `options` key not
+/// listed above is malformed: a misspelt option must not plan silently
+/// without it.
 [[nodiscard]] PlanRequest request_from_json(const io::Json& doc);
 /// The checks `request_from_json` makes first, and throws from as it does:
 /// `doc` is an object with a non-empty `id`. The router makes them before

@@ -10,8 +10,8 @@
    --announce` (and `route --shards=N`, which spawns its own shards) each
    print `LISTENING <port>` and exit 0 on SIGTERM.
 4. Each example given answers an unknown flag, and `--help`, the same way.
-5. The retired `incremental-fast` scoring tier is refused: its conformance
-   flag is unknown, and `plan --scoring=incremental-fast` exits 2.
+5. Retired options are refused as unknown flags: the epsilon scoring
+   tier's conformance flag, and `plan`'s engine switch.
 
 Usage: check_cli_flags.py UAVDC_BINARY FIGURE_HARNESS [EXAMPLE...]
 Exit codes: 0 all checks pass, 1 a check failed.
@@ -94,19 +94,14 @@ def main():
         expect_usage_exit([uavdc, "plan", "--instance=" + inst,
                            "--algo=alg2", "--reduce-bnad=40"], tmp,
                           unknown="reduce-bnad")
-        # The retired epsilon scoring tier is refused in both spellings. The
-        # flag is spelled in parts so that a grep for the retired names
-        # finds no live use in the tree.
+        # Retired flags are unknown flags. The epsilon tier's is spelled in
+        # parts so that a grep for its name finds no live use in the tree.
         retired_flag = "-".join(["fast", "scoring"])
         expect_usage_exit([uavdc, "conformance", "--instances=1",
                            "--" + retired_flag], tmp, unknown=retired_flag)
-        res = subprocess.run([uavdc, "plan", "--instance=" + inst,
-                              "--algo=alg2", "--scoring=incremental-fast"],
-                             cwd=tmp, capture_output=True, text=True,
-                             timeout=20, stdin=subprocess.DEVNULL)
-        check(res.returncode == 2 and "incremental|reference" in res.stderr,
-              "plan --scoring=incremental-fast exited %d: %s"
-              % (res.returncode, res.stderr.strip()))
+        expect_usage_exit([uavdc, "plan", "--instance=" + inst,
+                           "--algo=alg2", "--scoring=reference"], tmp,
+                          unknown="scoring")
         # A flag of one serve transport is unknown to the other.
         expect_usage_exit([uavdc, "serve", "--announce"], tmp,
                           unknown="announce")

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "greedy_oracle.hpp"
 #include "test_util.hpp"
 #include "uavdc/core/algorithm2.hpp"
 #include "uavdc/core/algorithm3.hpp"
@@ -292,29 +293,25 @@ TEST(PlanningContext, ReductionMemoIsSharedAcrossThreads) {
 
 // --- plan_over_candidates runs reduce -> refine -> fallback for both planners.
 
-/// Calls `check(planner, tag)` on alg2 and alg3, each with both
-/// bit-identical engines.
+/// Calls `check(planner, tag)` on alg2 and alg3, each as the served planner
+/// and as its bit-identical oracle (greedy_oracle.hpp).
 template <class Check>
 void for_each_planner(const HoverCandidateConfig& hover,
                       const CandidateReductionConfig& red, Check check) {
-    for (const auto engine :
-         {core::ScoringEngine::kIncremental, core::ScoringEngine::kReference}) {
-        const std::string tag =
-            engine == core::ScoringEngine::kReference ? " reference"
-                                                      : " incremental";
-        Algorithm2Config a2;
-        a2.candidates = hover;
-        a2.reduction = red;
-        a2.scoring = engine;
-        GreedyCoveragePlanner alg2(a2);
-        check(alg2, "alg2" + tag);
-        Algorithm3Config a3;
-        a3.candidates = hover;
-        a3.reduction = red;
-        a3.scoring = engine;
-        PartialCollectionPlanner alg3(a3);
-        check(alg3, "alg3" + tag);
-    }
+    Algorithm2Config a2;
+    a2.candidates = hover;
+    a2.reduction = red;
+    Algorithm3Config a3;
+    a3.candidates = hover;
+    a3.reduction = red;
+    GreedyCoveragePlanner alg2(a2);
+    check(alg2, "alg2 served");
+    PartialCollectionPlanner alg3(a3);
+    check(alg3, "alg3 served");
+    testing::greedy_oracle::GreedyCoverageOracle alg2_oracle(a2);
+    check(alg2_oracle, "alg2 oracle");
+    testing::greedy_oracle::PartialCollectionOracle alg3_oracle(a3);
+    check(alg3_oracle, "alg3 oracle");
 }
 
 TEST(PlanDriver, ReductionOffPlansTheFullView) {
@@ -475,7 +472,7 @@ TEST(PlanDriver, ReducedBandPlansBitIdenticalAcrossEngines) {
         for_each_planner(hover, red, [&](auto& planner, const std::string&) {
             plans.push_back(planner.plan(*ctx));
         });
-        // Order: alg2 incremental, alg3 incremental, alg2 ref, alg3 ref.
+        // Order: alg2 served, alg3 served, alg2 oracle, alg3 oracle.
         const std::string tag = "trial " + std::to_string(trial);
         expect_identical(plans[0], plans[2], tag + " alg2");
         expect_identical(plans[1], plans[3], tag + " alg3");

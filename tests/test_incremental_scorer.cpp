@@ -1,9 +1,9 @@
-// Equivalence suite for the incremental scoring engine: the lazy-greedy
-// incremental planners must produce *bit-identical* plans (stops, dwells,
-// planned_mb, iteration counts) to the retained reference (from-scratch)
-// scorer, serially and in parallel, across seeded generator instances —
-// plus unit tests for the engine's parts (inverted coverage index,
-// edge-local insertion cache, lazy-greedy queue).
+// Equivalence suite for the greedy engine: the lazy-greedy planners and the
+// cached prune loop must produce *bit-identical* plans (stops, dwells,
+// planned_mb, iteration counts) to the from-scratch oracle
+// (greedy_oracle.hpp), serially and in parallel, across seeded generator
+// instances — plus unit tests for the engine's parts (inverted coverage
+// index, edge-local insertion cache, lazy-greedy queue).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "greedy_oracle.hpp"
 #include "test_util.hpp"
 #include "uavdc/core/algorithm2.hpp"
 #include "uavdc/core/algorithm3.hpp"
@@ -23,7 +24,9 @@
 #include "uavdc/core/incremental_scorer.hpp"
 #include "uavdc/core/partial_policy.hpp"
 #include "uavdc/core/planning_context.hpp"
+#include "uavdc/core/registry.hpp"
 #include "uavdc/core/tour_builder.hpp"
+#include "uavdc/io/serialize.hpp"
 #include "uavdc/util/rng.hpp"
 #include "uavdc/workload/generator.hpp"
 
@@ -44,6 +47,9 @@ using core::PruneTspPlanner;
 using core::RatioRule;
 using core::ScoringEngine;
 using core::TourBuilder;
+using testing::greedy_oracle::GreedyCoverageOracle;
+using testing::greedy_oracle::PartialCollectionOracle;
+using testing::greedy_oracle::PruneTspOracle;
 
 // Exact (bitwise) plan comparison — no tolerances anywhere.
 void expect_identical(const PlanResult& a, const PlanResult& b,
@@ -95,8 +101,8 @@ core::HoverCandidateConfig hover_cfg(const model::Instance& inst) {
     return c;
 }
 
-// --- Algorithm 2: incremental == reference, serial and parallel, across
-// --- retour cadences, ratio rules, and deadline configs.
+// --- Algorithm 2: served == oracle, serial and parallel, across retour
+// --- cadences, ratio rules, and deadline configs.
 
 TEST(IncrementalEquivalence, Algorithm2MatchesReferenceAcrossInstances) {
     util::Rng rng(2026);
@@ -114,14 +120,10 @@ TEST(IncrementalEquivalence, Algorithm2MatchesReferenceAcrossInstances) {
         if (trial % 5 == 0) cfg.max_tour_time_s = 400.0;
 
         PlanResult results[4];
-        int slot = 0;
-        for (const auto engine :
-             {ScoringEngine::kReference, ScoringEngine::kIncremental}) {
-            for (const int threshold : {0, 1}) {  // serial / forced parallel
-                cfg.scoring = engine;
-                cfg.parallel_threshold = threshold;
-                results[slot++] = GreedyCoveragePlanner(cfg).plan(*ctx);
-            }
+        for (const int threshold : {0, 1}) {  // serial / forced parallel
+            cfg.parallel_threshold = threshold;
+            results[threshold] = GreedyCoverageOracle(cfg).plan(*ctx);
+            results[2 + threshold] = GreedyCoveragePlanner(cfg).plan(*ctx);
         }
         const std::string tag = "trial " + std::to_string(trial);
         expect_identical(results[0], results[1], tag + " ref serial/par");
@@ -131,74 +133,41 @@ TEST(IncrementalEquivalence, Algorithm2MatchesReferenceAcrossInstances) {
     }
 }
 
-TEST(IncrementalEquivalence, Algorithm2ExactRatioTspMatchesReference) {
-    util::Rng rng(99);
-    for (int trial = 0; trial < 12; ++trial) {
-        const auto inst = fuzz_instance(rng, 5, 16);
-        const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
+// --- ScoringEngine is kept as a name only (the perfbench crossover plans
+// --- with each enumerator) and every enumerator runs the one engine: plans
+// --- through make_planner must be byte-identical for every greedy planner.
 
-        Algorithm2Config cfg;
-        cfg.candidates = hover_cfg(inst);
-        cfg.exact_ratio_tsp = true;
-        cfg.retour_every = trial % 2 == 0 ? 4 : 0;
-
-        PlanResult results[4];
-        int slot = 0;
-        for (const auto engine :
-             {ScoringEngine::kReference, ScoringEngine::kIncremental}) {
-            for (const int threshold : {0, 1}) {
-                cfg.scoring = engine;
-                cfg.parallel_threshold = threshold;
-                results[slot++] = GreedyCoveragePlanner(cfg).plan(*ctx);
-            }
-        }
-        const std::string tag = "tsp trial " + std::to_string(trial);
-        expect_identical(results[0], results[1], tag + " ref serial/par");
-        expect_identical(results[0], results[2], tag + " ref vs inc serial");
-        expect_identical(results[0], results[3], tag + " ref vs inc par");
-        if (::testing::Test::HasFailure()) break;
-    }
-}
-
-// --- kIncrementalFast is kept only as a name (the perfbench crossover
-// --- plans with it) and runs the incremental engine: its plans must be
-// --- byte-identical to kIncremental's for every greedy planner.
-
-TEST(IncrementalEquivalence, FastEnumeratorPlansIdenticallyToIncremental) {
+TEST(IncrementalEquivalence, ScoringEnumeratorsPlanIdentically) {
+    constexpr ScoringEngine kEngines[] = {ScoringEngine::kIncremental,
+                                          ScoringEngine::kReference,
+                                          ScoringEngine::kIncrementalFast};
     util::Rng rng(4242);
     for (int trial = 0; trial < 10; ++trial) {
         auto inst = fuzz_instance(rng, 6, 40);
-        const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
-        const std::string tag = "fast trial " + std::to_string(trial);
-
-        Algorithm2Config cfg;
-        cfg.candidates = hover_cfg(inst);
-        cfg.scoring = ScoringEngine::kIncremental;
-        const auto base = GreedyCoveragePlanner(cfg).plan(*ctx);
-        cfg.scoring = ScoringEngine::kIncrementalFast;
-        expect_identical(base, GreedyCoveragePlanner(cfg).plan(*ctx),
-                         tag + " alg2");
-
-        for (const int k : {1, 2, 4}) {
-            Algorithm3Config cfg3;
-            cfg3.candidates = hover_cfg(inst);
-            cfg3.k = k;
-            cfg3.scoring = ScoringEngine::kIncremental;
-            const auto base3 = PartialCollectionPlanner(cfg3).plan(*ctx);
-            cfg3.scoring = ScoringEngine::kIncrementalFast;
-            expect_identical(base3, PartialCollectionPlanner(cfg3).plan(*ctx),
-                             tag + " alg3 k=" + std::to_string(k));
-        }
-
         // Shrink the budget on half the trials so the prune loop runs.
         if (trial % 2 == 0) inst.uav.energy_j *= 0.35;
-        const auto bctx = PlanningContext::build(inst, hover_cfg(inst));
-        BenchmarkPlannerConfig bcfg;
-        bcfg.scoring = ScoringEngine::kIncremental;
-        const auto bench = PruneTspPlanner(bcfg).plan(*bctx);
-        bcfg.scoring = ScoringEngine::kIncrementalFast;
-        expect_identical(bench, PruneTspPlanner(bcfg).plan(*bctx),
-                         tag + " benchmark");
+        core::PlannerOptions opts;
+        opts.delta_m = hover_cfg(inst).delta_m;
+        opts.k = 1 + trial % 4;
+        const auto ctx = PlanningContext::build(inst, opts.hover_config());
+        for (const char* planner : {"alg2", "alg3", "benchmark"}) {
+            const std::string tag = "trial " + std::to_string(trial) + " " +
+                                    planner + " k " + std::to_string(opts.k);
+            PlanResult first;
+            for (const ScoringEngine engine : kEngines) {
+                opts.scoring = engine;
+                const PlanResult got =
+                    core::make_planner(planner, opts)->plan(*ctx);
+                if (engine == kEngines[0]) {
+                    first = got;
+                    continue;
+                }
+                expect_identical(first, got, tag + " " + to_string(engine));
+                EXPECT_EQ(io::to_json(got.plan).dump(),
+                          io::to_json(first.plan).dump())
+                    << tag << " " << to_string(engine);
+            }
+        }
         if (::testing::Test::HasFailure()) break;
     }
 }
@@ -219,14 +188,10 @@ TEST(IncrementalEquivalence, Algorithm3MatchesReferenceAcrossInstances) {
         if (trial % 4 == 0) cfg.max_tour_time_s = 500.0;
 
         PlanResult results[4];
-        int slot = 0;
-        for (const auto engine :
-             {ScoringEngine::kReference, ScoringEngine::kIncremental}) {
-            for (const int threshold : {0, 1}) {
-                cfg.scoring = engine;
-                cfg.parallel_threshold = threshold;
-                results[slot++] = PartialCollectionPlanner(cfg).plan(*ctx);
-            }
+        for (const int threshold : {0, 1}) {
+            cfg.parallel_threshold = threshold;
+            results[threshold] = PartialCollectionOracle(cfg).plan(*ctx);
+            results[2 + threshold] = PartialCollectionPlanner(cfg).plan(*ctx);
         }
         const std::string tag = "alg3 trial " + std::to_string(trial);
         expect_identical(results[0], results[1], tag + " ref serial/par");
@@ -238,26 +203,21 @@ TEST(IncrementalEquivalence, Algorithm3MatchesReferenceAcrossInstances) {
 
 // --- Edges of the shared lazy-greedy loop: degenerate instances,
 // --- reduced and refine views, and paper-scale candidate sets at the
-// --- served parallel threshold. Every case is incremental vs reference,
+// --- served parallel threshold. Every case is served vs oracle,
 // --- bit-identical, for each of `thresholds` (0 = serial, 1 = forced
 // --- parallel).
 
-template <typename Planner, typename Config>
+template <typename Planner, typename Oracle, typename Config>
 void expect_engines_agree(const PlanningContext& ctx, Config cfg,
                           const std::string& tag,
                           std::initializer_list<int> thresholds = {0, 1}) {
-    cfg.scoring = ScoringEngine::kReference;
     cfg.parallel_threshold = 0;
-    const PlanResult ref = Planner(cfg).plan(ctx);
+    const PlanResult ref = Oracle(cfg).plan(ctx);
     for (const int threshold : thresholds) {
-        for (const auto engine :
-             {ScoringEngine::kReference, ScoringEngine::kIncremental}) {
-            cfg.scoring = engine;
-            cfg.parallel_threshold = threshold;
-            expect_identical(ref, Planner(cfg).plan(ctx),
-                             tag + " " + core::to_string(engine) +
-                                 " threshold " + std::to_string(threshold));
-        }
+        cfg.parallel_threshold = threshold;
+        const std::string at = " threshold " + std::to_string(threshold);
+        expect_identical(ref, Oracle(cfg).plan(ctx), tag + " oracle" + at);
+        expect_identical(ref, Planner(cfg).plan(ctx), tag + " served" + at);
     }
 }
 
@@ -268,14 +228,14 @@ void expect_both_planners_agree(const PlanningContext& ctx,
     cfg2.candidates = hover;
     for (const int retour : {8, 1, 0}) {
         cfg2.retour_every = retour;
-        expect_engines_agree<GreedyCoveragePlanner>(
+        expect_engines_agree<GreedyCoveragePlanner, GreedyCoverageOracle>(
             ctx, cfg2, tag + " alg2 retour " + std::to_string(retour));
     }
     Algorithm3Config cfg3;
     cfg3.candidates = hover;
     for (const int k : {1, 2, 4}) {
         cfg3.k = k;
-        expect_engines_agree<PartialCollectionPlanner>(
+        expect_engines_agree<PartialCollectionPlanner, PartialCollectionOracle>(
             ctx, cfg3, tag + " alg3 k " + std::to_string(k));
     }
 }
@@ -339,14 +299,14 @@ TEST(IncrementalEquivalence, ReducedAndRefineViewsMatchReference) {
         cfg2.candidates = hover;
         cfg2.reduction = reduction;
         cfg2.retour_every = trial % 2 == 0 ? 8 : 1;
-        expect_engines_agree<GreedyCoveragePlanner>(*ctx, cfg2,
-                                                    tag + " alg2");
+        expect_engines_agree<GreedyCoveragePlanner, GreedyCoverageOracle>(
+            *ctx, cfg2, tag + " alg2");
         Algorithm3Config cfg3;
         cfg3.candidates = hover;
         cfg3.reduction = reduction;
         cfg3.k = 1 + trial % 3;
-        expect_engines_agree<PartialCollectionPlanner>(*ctx, cfg3,
-                                                       tag + " alg3");
+        expect_engines_agree<PartialCollectionPlanner, PartialCollectionOracle>(
+            *ctx, cfg3, tag + " alg3");
         if (::testing::Test::HasFailure()) break;
     }
     EXPECT_GT(refined, 0);
@@ -365,26 +325,28 @@ TEST(IncrementalEquivalence, PaperInstancesAtServedThresholdMatchReference) {
         const std::string tag = std::to_string(devices) + " devices";
         Algorithm2Config cfg2;
         cfg2.candidates = hover;
-        expect_engines_agree<GreedyCoveragePlanner>(*ctx, cfg2,
-                                                    tag + " alg2", {0, 512});
+        expect_engines_agree<GreedyCoveragePlanner, GreedyCoverageOracle>(
+            *ctx, cfg2, tag + " alg2", {0, 512});
         Algorithm3Config cfg3;
         cfg3.candidates = hover;
         cfg3.k = devices / 100 - 1;
-        expect_engines_agree<PartialCollectionPlanner>(
+        expect_engines_agree<PartialCollectionPlanner, PartialCollectionOracle>(
             *ctx, cfg3, tag + " alg3", {0, 512});
         if (::testing::Test::HasFailure()) break;
     }
 }
 
-// --- Alg. 3 drops an unselectable pop until its key is next updated
-// --- (policy A). That is sound only if such a candidate cannot become
-// --- selectable again before then. Replay the loop under policy B, which
-// --- evaluates every pop again, and watch for one that does.
+// --- Alg. 3 drops an unselectable pop until its key is next updated. That
+// --- is sound only if such a candidate cannot become selectable again
+// --- before then. Replay the loop, and at the start of every round
+// --- evaluate again each candidate dropped since its last key: none may
+// --- have come back.
 
 struct UnselectableWatch {
-    std::vector<char> unselectable;  ///< since the candidate's last key
+    std::vector<char> unselectable;  ///< dropped since its last key
+    bool sweep_due{true};            ///< no eval yet in this round
     std::size_t evals{0};
-    std::size_t repeat_evals{0};  ///< of unselectable ones: policy A's saving
+    std::size_t repeat_evals{0};  ///< of dropped ones: the queue's saving
     std::size_t revived{0};       ///< repeats that came back selectable
 };
 UnselectableWatch* g_watch = nullptr;
@@ -392,7 +354,6 @@ UnselectableWatch* g_watch = nullptr;
 class WatchedPartialPolicy : public core::partial::PartialPolicy {
   public:
     using PartialPolicy::PartialPolicy;
-    static constexpr bool exact_keys = false;
 
     [[nodiscard]] double key(std::size_t j) const {
         g_watch->unselectable[j] = 0;
@@ -400,15 +361,25 @@ class WatchedPartialPolicy : public core::partial::PartialPolicy {
     }
 
     [[nodiscard]] std::pair<double, bool> eval(std::size_t j) {
-        const std::pair<double, bool> r = PartialPolicy::eval(j);
         UnselectableWatch& w = *g_watch;
-        ++w.evals;
-        if (w.unselectable[j] != 0) {
-            ++w.repeat_evals;
-            if (r.second) ++w.revived;
+        if (w.sweep_due) {
+            // The round's state, before its first pop is evaluated.
+            w.sweep_due = false;
+            for (std::size_t d = 0; d < w.unselectable.size(); ++d) {
+                if (w.unselectable[d] == 0) continue;
+                ++w.repeat_evals;
+                if (PartialPolicy::eval(d).second) ++w.revived;
+            }
         }
+        const std::pair<double, bool> r = PartialPolicy::eval(j);
+        ++w.evals;
         if (!r.second) w.unselectable[j] = 1;
         return r;
+    }
+
+    [[nodiscard]] core::lazy_greedy::Take pick(std::size_t best) {
+        g_watch->sweep_due = true;
+        return PartialPolicy::pick(best);
     }
 };
 
@@ -419,8 +390,8 @@ TEST(IncrementalEquivalence, Algorithm3UnselectableUntilRekeyed) {
                       const std::string& tag) {
         const core::CandidateView view = ctx.full_view();
         if (view.size() == 0) return;
-        cfg.scoring = ScoringEngine::kIncremental;
         watch.unselectable.assign(view.size(), 0);
+        watch.sweep_due = true;
         const std::size_t revived = watch.revived;
         const PlanResult b =
             core::lazy_greedy::run<WatchedPartialPolicy>(ctx, view, cfg);
@@ -468,10 +439,10 @@ TEST(IncrementalEquivalence, Algorithm3UnselectableUntilRekeyed) {
     }
     g_watch = nullptr;
     EXPECT_EQ(watch.revived, 0u);
-    // The replay does reach the case policy A skips.
+    // The replay does reach the case the queue skips.
     EXPECT_GT(watch.repeat_evals, 0u);
-    std::printf("alg3 replay: %zu evaluations, %zu of them repeats of an "
-                "unselectable candidate\n",
+    std::printf("alg3 replay: %zu evaluations, and %zu repeats of a dropped "
+                "candidate\n",
                 watch.evals, watch.repeat_evals);
 }
 
@@ -488,9 +459,7 @@ TEST(IncrementalEquivalence, PruneTspMatchesReferenceAcrossInstances) {
 
         BenchmarkPlannerConfig cfg;
         cfg.reoptimize_after_prune = trial % 3 != 0;
-        cfg.scoring = ScoringEngine::kReference;
-        const auto ref = PruneTspPlanner(cfg).plan(*ctx);
-        cfg.scoring = ScoringEngine::kIncremental;
+        const auto ref = PruneTspOracle(cfg).plan(*ctx);
         const auto inc = PruneTspPlanner(cfg).plan(*ctx);
         expect_identical(ref, inc, "prune trial " + std::to_string(trial));
         total_prunes += ref.stats.iterations;
@@ -639,7 +608,7 @@ TEST(InsertionCache, ReportsChangedCandidates) {
     }
 }
 
-// --- LazyGreedyQueue: deterministic tie-break, staleness, both policies.
+// --- LazyGreedyQueue: deterministic tie-break, staleness, dropping.
 
 TEST(LazyGreedyQueue, TieBreaksOnSmallerIndex) {
     LazyGreedyQueue q(4);
@@ -648,7 +617,7 @@ TEST(LazyGreedyQueue, TieBreaksOnSmallerIndex) {
     q.update(1, 5.0);
     q.update(3, 7.0);
     int evals = 0;
-    const auto pick = q.pop_best(true, [&](std::size_t i) {
+    const auto pick = q.pop_best([&](std::size_t i) {
         ++evals;
         return std::pair<double, bool>{i == 3 ? 7.0 : 5.0, i != 3};
     });
@@ -665,7 +634,7 @@ TEST(LazyGreedyQueue, StaleEntriesAreSkipped) {
     q.update(0, 10.0);
     q.update(1, 4.0);
     q.update(0, 1.0);  // 10.0 entry is now stale
-    const auto pick = q.pop_best(true, [&](std::size_t i) {
+    const auto pick = q.pop_best([&](std::size_t i) {
         return std::pair<double, bool>{q.key(i), true};
     });
     ASSERT_TRUE(pick.found);
@@ -682,34 +651,16 @@ TEST(LazyGreedyQueue, PolicyADropsUnselectableUntilUpdate) {
         if (i == 0) ++evals_of_0;
         return std::pair<double, bool>{q.key(i), i != 0};
     };
-    EXPECT_EQ(q.pop_best(true, eval).index, 1u);
+    EXPECT_EQ(q.pop_best(eval).index, 1u);
     EXPECT_EQ(evals_of_0, 1);
     // 0 was dropped: the next pop must not re-evaluate it...
     q.update(1, 3.0);
-    EXPECT_EQ(q.pop_best(true, eval).index, 1u);
+    EXPECT_EQ(q.pop_best(eval).index, 1u);
     EXPECT_EQ(evals_of_0, 1);
     // ...until an explicit update re-enqueues it.
     q.update(0, 9.0);
     q.update(1, 3.0);
-    EXPECT_EQ(q.pop_best(true, eval).index, 1u);
-    EXPECT_EQ(evals_of_0, 2);
-}
-
-TEST(LazyGreedyQueue, PolicyBReenqueuesEvaluated) {
-    LazyGreedyQueue q(2);
-    q.update(0, 9.0);  // upper bound; exact is lower
-    q.update(1, 3.0);
-    int evals_of_0 = 0;
-    auto eval = [&](std::size_t i) {
-        if (i == 0) ++evals_of_0;
-        // 0's exact score is 1.0 (bound was loose); 1's is exact.
-        return std::pair<double, bool>{i == 0 ? 1.0 : 3.0, true};
-    };
-    EXPECT_EQ(q.pop_best(false, eval).index, 1u);
-    EXPECT_EQ(evals_of_0, 1);
-    // Policy B keeps 0 queued under its bound: evaluated again next round.
-    q.update(1, 3.0);
-    EXPECT_EQ(q.pop_best(false, eval).index, 1u);
+    EXPECT_EQ(q.pop_best(eval).index, 1u);
     EXPECT_EQ(evals_of_0, 2);
 }
 
@@ -718,14 +669,14 @@ TEST(LazyGreedyQueue, DeactivatedNeverReturned) {
     q.update(0, 9.0);
     q.update(1, 3.0);
     q.deactivate(0);
-    const auto pick = q.pop_best(true, [&](std::size_t i) {
+    const auto pick = q.pop_best([&](std::size_t i) {
         return std::pair<double, bool>{q.key(i), true};
     });
     ASSERT_TRUE(pick.found);
     EXPECT_EQ(pick.index, 1u);
     EXPECT_FALSE(q.active(0));
     q.deactivate(1);
-    EXPECT_FALSE(q.pop_best(true, [&](std::size_t) {
+    EXPECT_FALSE(q.pop_best([&](std::size_t) {
                       return std::pair<double, bool>{0.0, true};
                   }).found);
 }
@@ -752,8 +703,8 @@ TEST(LazyGreedyQueue, RebuildMatchesClearPlusUpdate) {
         };
     };
     for (int round = 0; round < 4; ++round) {
-        const auto a = bulk.pop_best(true, eval(bulk));
-        const auto b = one_by_one.pop_best(true, eval(one_by_one));
+        const auto a = bulk.pop_best(eval(bulk));
+        const auto b = one_by_one.pop_best(eval(one_by_one));
         ASSERT_TRUE(a.found);
         ASSERT_TRUE(b.found);
         EXPECT_EQ(a.index, b.index);
@@ -761,8 +712,8 @@ TEST(LazyGreedyQueue, RebuildMatchesClearPlusUpdate) {
         bulk.deactivate(a.index);
         one_by_one.deactivate(b.index);
     }
-    EXPECT_FALSE(bulk.pop_best(true, eval(bulk)).found);
-    EXPECT_FALSE(one_by_one.pop_best(true, eval(one_by_one)).found);
+    EXPECT_FALSE(bulk.pop_best(eval(bulk)).found);
+    EXPECT_FALSE(one_by_one.pop_best(eval(one_by_one)).found);
 }
 
 TEST(InsertionCache, RunnerUpSurvivesRepeatedStraddles) {

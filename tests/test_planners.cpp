@@ -4,12 +4,14 @@
 
 #include <memory>
 
+#include "greedy_oracle.hpp"
 #include "test_util.hpp"
 #include "uavdc/core/algorithm1.hpp"
 #include "uavdc/core/algorithm2.hpp"
 #include "uavdc/core/algorithm3.hpp"
 #include "uavdc/core/benchmark_planner.hpp"
 #include "uavdc/core/evaluate.hpp"
+#include "uavdc/core/planning_context.hpp"
 
 namespace uavdc::core {
 namespace {
@@ -152,12 +154,16 @@ TEST(Algorithm2, FullCollectionDwellSufficesForClaimedDevices) {
 }
 
 TEST(Algorithm2, ExactRatioTspModeWorksOnTinyInstance) {
+    // The paper's literal Eq. 13 rule (a Christofides re-tour per candidate
+    // per round) lives in the test oracle only.
     const auto inst = small_instance(12, 200.0, 9, 4.0e4);
-    Algorithm2Config cfg = small_alg2();
-    cfg.exact_ratio_tsp = true;
-    GreedyCoveragePlanner planner(cfg);
-    const auto res = planner.plan(inst);
+    const Algorithm2Config cfg = small_alg2();
+    const auto ctx = PlanningContext::build(inst, cfg.candidates);
+    const testing::greedy_oracle::GreedyCoverageOracle oracle(
+        cfg, /*exact_ratio_tsp=*/true);
+    const auto res = oracle.plan(*ctx);
     check_plan(inst, res);
+    EXPECT_GT(res.plan.num_stops(), 0u);
 }
 
 TEST(Algorithm2, MoreEnergyNeverCollectsLess) {

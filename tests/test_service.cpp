@@ -92,7 +92,6 @@ TEST(ServiceRequest, JsonRoundTrip) {
     PlanRequest req = make_request("req-7", "alg3", inst);
     req.overrides.delta_m = 17.5;
     req.overrides.k = 3;
-    req.overrides.scoring = core::ScoringEngine::kReference;
     req.overrides.solver = orienteering::SolverKind::kGrasp;
     req.priority = 4;
     req.deadline_ms = 250.0;
@@ -105,7 +104,6 @@ TEST(ServiceRequest, JsonRoundTrip) {
               core::PlanningContext::instance_fingerprint(inst));
     EXPECT_EQ(back.overrides.delta_m, 17.5);
     EXPECT_EQ(back.overrides.k, 3);
-    EXPECT_EQ(back.overrides.scoring, core::ScoringEngine::kReference);
     EXPECT_EQ(back.overrides.solver, orienteering::SolverKind::kGrasp);
     EXPECT_FALSE(back.overrides.max_candidates.has_value());
     EXPECT_EQ(back.priority, 4);
@@ -977,17 +975,23 @@ TEST(Service, OutOfRangeWorkMultipliersAreBadRequests) {
     EXPECT_EQ(summary.stats.internal_errors, 0u);
 }
 
-TEST(Service, RetiredScoringSpellingIsABadRequest) {
-    // The wire names two scoring engines. "incremental-fast" is no longer
-    // one of them: it is refused at parse time, naming the accepted
-    // values, and the service goes on answering.
+TEST(Service, UnknownOptionKeysAreBadRequests) {
+    // An `options` key the schema does not list is refused at parse time,
+    // naming the key and the accepted ones, and the service goes on
+    // answering. "scoring" was an option once; a misspelt reduction key
+    // must not plan silently without its band.
     const auto inst = uavdc::testing::small_instance(12, 180.0, 93);
     std::ostringstream input;
-    io::Json bad = to_json(make_request("fast", "alg2", inst));
-    bad["options"]["scoring"] = "incremental-fast";
-    input << bad.dump() << "\n";
+    io::Json retired = to_json(make_request("retired", "alg2", inst));
+    retired["options"]["scoring"] = "reference";
+    input << retired.dump() << "\n";
+    io::Json misspelt = to_json(make_request("misspelt", "alg2", inst));
+    misspelt["options"]["reduce"] = true;
+    misspelt["options"]["reduce_bnad_m"] = 40.0;
+    input << misspelt.dump() << "\n";
     io::Json good = to_json(make_request("next", "alg2", inst));
-    good["options"]["scoring"] = "incremental";
+    good["options"]["reduce"] = true;
+    good["options"]["reduce_band_m"] = 40.0;
     input << good.dump() << "\n";
 
     JsonlConfig cfg;
@@ -1001,10 +1005,17 @@ TEST(Service, RetiredScoringSpellingIsABadRequest) {
     for (auto& doc : parse_lines(out.str())) {
         got[doc.string_or("id", "")] = std::move(doc);
     }
-    const io::Json& resp = got.at("fast");
-    const std::string error = resp.string_or("error", "");
-    EXPECT_EQ(resp.string_or("status", ""), "bad_request") << error;
-    EXPECT_NE(error.find("incremental|reference"), std::string::npos) << error;
+    for (const auto& [id, key] :
+         {std::pair<std::string, std::string>{"retired", "scoring"},
+          {"misspelt", "reduce_bnad_m"}}) {
+        const io::Json& resp = got.at(id);
+        const std::string error = resp.string_or("error", "");
+        EXPECT_EQ(resp.string_or("status", ""), "bad_request") << error;
+        EXPECT_NE(error.find("unknown option '" + key + "'"),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find("reduce_band_m"), std::string::npos) << error;
+    }
     EXPECT_EQ(got.at("next").string_or("status", ""), "ok");
     EXPECT_EQ(summary.stats.internal_errors, 0u);
 }

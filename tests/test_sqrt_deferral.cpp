@@ -2,8 +2,8 @@
 // bound-then-verify scan: squared-distance lower bounds prune, and only the
 // surviving edges pay the exact sqrt forms. These tests pin the contract
 // that the pruning is invisible — a 100-seed bitwise fuzz of pruned
-// (incremental) vs reference plans across alg2/alg3/benchmark and every
-// retour cadence, plus direct boundary tests at the shapes the slacked
+// (served) vs oracle plans across alg2/alg3/benchmark and every retour
+// cadence, plus direct boundary tests at the shapes the slacked
 // bound has to get exactly right: equal-delta ties, zero thresholds,
 // degenerate zero-length edges from duplicate stops, and points at the
 // exact coverage radius.
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "greedy_oracle.hpp"
 #include "uavdc/core/algorithm2.hpp"
 #include "uavdc/core/algorithm3.hpp"
 #include "uavdc/core/benchmark_planner.hpp"
@@ -35,8 +36,10 @@ using core::PartialCollectionPlanner;
 using core::PlanningContext;
 using core::PlanResult;
 using core::PruneTspPlanner;
-using core::ScoringEngine;
 using core::TourBuilder;
+using testing::greedy_oracle::GreedyCoverageOracle;
+using testing::greedy_oracle::PartialCollectionOracle;
+using testing::greedy_oracle::PruneTspOracle;
 
 // Exact (bitwise) plan comparison — no tolerances anywhere.
 void expect_identical(const PlanResult& a, const PlanResult& b,
@@ -80,8 +83,8 @@ core::HoverCandidateConfig hover_cfg(const model::Instance& inst) {
 }
 
 // ---------------------------------------------------------------------------
-// 100-seed planner fuzz: pruned (incremental) plans are bit-identical to the
-// reference engine across alg2 / alg3 / benchmark and retour {0, 1, 3, 8}.
+// 100-seed planner fuzz: pruned (served) plans are bit-identical to the
+// oracle across alg2 / alg3 / benchmark and retour {0, 1, 3, 8}.
 // ---------------------------------------------------------------------------
 
 TEST(SqrtDeferralFuzz, HundredSeedsPrunedMatchesReference) {
@@ -91,38 +94,34 @@ TEST(SqrtDeferralFuzz, HundredSeedsPrunedMatchesReference) {
         const auto inst = fuzz_instance(rng);
         const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
         const int retour = kRetours[seed % 4];
-        PlanResult by_engine[2];
+        PlanResult by_engine[2];  // oracle, served
         std::string algo;
-        for (int e = 0; e < 2; ++e) {
-            const auto engine = e == 0 ? ScoringEngine::kReference
-                                       : ScoringEngine::kIncremental;
-            switch (seed % 3) {
-                case 0: {
-                    Algorithm2Config cfg;
-                    cfg.candidates = hover_cfg(inst);
-                    cfg.retour_every = retour;
-                    cfg.scoring = engine;
-                    by_engine[e] = GreedyCoveragePlanner(cfg).plan(*ctx);
-                    algo = "alg2";
-                    break;
-                }
-                case 1: {
-                    Algorithm3Config cfg;
-                    cfg.candidates = hover_cfg(inst);
-                    cfg.k = 1 + static_cast<int>(seed % 4);
-                    cfg.retour_every = retour;
-                    cfg.scoring = engine;
-                    by_engine[e] = PartialCollectionPlanner(cfg).plan(*ctx);
-                    algo = "alg3";
-                    break;
-                }
-                default: {
-                    BenchmarkPlannerConfig cfg;
-                    cfg.scoring = engine;
-                    by_engine[e] = PruneTspPlanner(cfg).plan(*ctx);
-                    algo = "benchmark";
-                    break;
-                }
+        switch (seed % 3) {
+            case 0: {
+                Algorithm2Config cfg;
+                cfg.candidates = hover_cfg(inst);
+                cfg.retour_every = retour;
+                by_engine[0] = GreedyCoverageOracle(cfg).plan(*ctx);
+                by_engine[1] = GreedyCoveragePlanner(cfg).plan(*ctx);
+                algo = "alg2";
+                break;
+            }
+            case 1: {
+                Algorithm3Config cfg;
+                cfg.candidates = hover_cfg(inst);
+                cfg.k = 1 + static_cast<int>(seed % 4);
+                cfg.retour_every = retour;
+                by_engine[0] = PartialCollectionOracle(cfg).plan(*ctx);
+                by_engine[1] = PartialCollectionPlanner(cfg).plan(*ctx);
+                algo = "alg3";
+                break;
+            }
+            default: {
+                const BenchmarkPlannerConfig cfg;
+                by_engine[0] = PruneTspOracle(cfg).plan(*ctx);
+                by_engine[1] = PruneTspPlanner(cfg).plan(*ctx);
+                algo = "benchmark";
+                break;
             }
         }
         expect_identical(by_engine[0], by_engine[1],

@@ -55,7 +55,6 @@ int usage() {
         "            [--devices=N] [--side=M] [--energy=J] [--seed=S]\n"
         "  plan      --instance=FILE --algo=alg1|alg2|alg3|benchmark\n"
         "            [--delta=10] [--k=2] [--max-candidates=4000]\n"
-        "            [--scoring=incremental|reference]\n"
         "            [--reduce] [--reduce-coarsen=F] [--reduce-band=M]\n"
         "            [--reduce-consolidate=N] [--out=FILE]\n"
         "  eval      --instance=FILE --plan=FILE [--json]\n"
@@ -155,15 +154,6 @@ int cmd_plan(const util::Flags& flags) {
     opts.k = flags.get_int("k", opts.k);
     opts.max_candidates =
         flags.get_int("max-candidates", opts.max_candidates);
-    const std::string scoring =
-        flags.get_string("scoring", core::to_string(opts.scoring));
-    if (const auto engine = core::scoring_engine_from_string(scoring)) {
-        opts.scoring = *engine;
-    } else {
-        throw std::runtime_error(
-            "unknown scoring '" + scoring +
-            "' (expected incremental|reference)");
-    }
     apply_reduction_flags(flags, opts);
     const std::string algo = flags.get_string("algo", "alg3");
     const std::string out = flags.get_string("out", "");
