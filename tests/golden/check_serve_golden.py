@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Byte-level golden of `uavdc serve` responses.
 
-Pipes serve_requests.jsonl (inline and by-ref requests to all four paper
-planners, one alg2 request with candidate reduction, each followed by a
-drain barrier) through `uavdc serve --workers=1`, drops the barrier
+Pipes serve_requests.jsonl through `uavdc serve --workers=1`: inline and
+by-ref requests to all six planners (the four paper planners plus the
+`kmeans` and `sweep` baselines), alg1 with each of the `grasp`, `greedy`
+and `ils` solvers, alg2 with candidate reduction (dominance alone, and
+dominance with coarsening and a refine band) and alg3 with k-means
+consolidation, each followed by a drain barrier. It drops the barrier
 replies, blanks the wall-clock fields `queue_ms`, `exec_ms` and
 `runtime_s` textually, and compares what is left byte for byte with
 serve_responses.jsonl. Nothing is parsed and dumped again, so number
