@@ -75,7 +75,10 @@ void BM_Christofides(benchmark::State& state) {
         random_points(static_cast<int>(state.range(0)), 5, 1000.0);
     const auto g = graph::DenseGraph::euclidean(pts);
     for (auto _ : state) {
+        // The exact 2-opt / Or-opt polish is part of what this times.
         auto tour = graph::christofides_tour(g, 0);
+        graph::two_opt(g, tour);
+        graph::or_opt(g, tour);
         benchmark::DoNotOptimize(tour.size());
     }
 }
@@ -84,7 +87,7 @@ void BM_Christofides(benchmark::State& state) {
 BENCHMARK(BM_Christofides)->Arg(40)->Arg(50)->Arg(200)->Arg(500);
 
 // The exact matching step of Christofides alone, on k Euclidean nodes
-// (planner tours call it with k <= 18, the exact_matching_limit default).
+// (planner tours call it with k <= graph::kExactMatchingLimit, 18).
 void BM_ExactMatching(benchmark::State& state) {
     const auto k = static_cast<std::size_t>(state.range(0));
     const auto pts = random_points(static_cast<int>(k), 13, 1000.0);

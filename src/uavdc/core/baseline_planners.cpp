@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,6 +17,15 @@
 namespace uavdc::core {
 
 namespace {
+
+/// Largest k-means cluster count the cluster baseline tries.
+constexpr int kMaxClusters = 64;
+/// Seed of the cluster baseline's k-means++ seeding.
+constexpr std::uint64_t kClusterSeed = 17;
+
+/// Row spacing of the sweep, and hover-point spacing along a row, as a
+/// fraction of sqrt(2) * R0 (<= 1 guarantees gap-free coverage).
+constexpr double kSweepOverlap = 0.95;
 
 /// Build a plan hovering at `centers` with dwell = max upload time of the
 /// devices each centre actually covers; returns the plan and the volume of
@@ -77,19 +87,18 @@ PlanResult ClusterPlanner::plan(const PlanningContext& ctx) {
         return res;
     }
     const auto pts = inst.device_positions();
+    // Clusters are weighted by stored data volume.
     std::vector<double> weights;
-    if (cfg_.weight_by_data) {
-        weights.reserve(inst.devices.size());
-        for (const auto& d : inst.devices) weights.push_back(d.data_mb);
-    }
+    weights.reserve(inst.devices.size());
+    for (const auto& d : inst.devices) weights.push_back(d.data_mb);
 
-    const int k_max = std::min<int>(cfg_.max_clusters,
+    const int k_max = std::min<int>(kMaxClusters,
                                     util::checked_cast<int>(pts.size()));
     // Decrease k until the tour fits the battery (fewer, bigger clusters =
     // shorter tours but more devices out of range).
     for (int k = k_max; k >= 1; --k) {
         geom::KMeansConfig kc;
-        kc.seed = cfg_.seed;
+        kc.seed = kClusterSeed;
         const auto clusters = geom::kmeans(pts, k, weights, kc);
         CenterPlan cand = plan_from_centers(inst, clusters.centroids);
         const double energy =
@@ -115,8 +124,8 @@ PlanResult SweepPlanner::plan(const PlanningContext& ctx) {
     const model::Instance& inst = ctx.instance();
     const double r0 = inst.uav.coverage_radius_m;
     const double lattice = std::sqrt(2.0) * r0;  // gap-free disk coverage
-    const double dy = std::max(1.0, lattice * cfg_.row_overlap);
-    const double dx = std::max(1.0, lattice * cfg_.along_overlap);
+    const double dy = std::max(1.0, lattice * kSweepOverlap);
+    const double dx = std::max(1.0, lattice * kSweepOverlap);
     const auto& region = inst.region;
 
     // Admission, before anything is allocated: the loops below make one

@@ -84,7 +84,7 @@ PlanResult PruneTspPlanner::plan(const PlanningContext& ctx) {
         if (worst > 0) ratio_cache[worst - 1] = prune_ratio(worst - 1);
         if (worst < tour.size()) ratio_cache[worst] = prune_ratio(worst);
     }
-    if (cfg_.reoptimize_after_prune) tour.reoptimize();
+    tour.reoptimize();
 
     for (std::size_t i = 0; i < tour.size(); ++i) {
         const auto& d =

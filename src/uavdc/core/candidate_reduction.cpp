@@ -45,13 +45,19 @@ double segment_dist2(const geom::Vec2& p, const geom::Vec2& a,
     return dx * dx + dy * dy;
 }
 
+/// Dominance scan radius, in steps of the generating grid: the
+/// adjacent-cell ring, where subset-coverage pairs actually occur.
+constexpr double kDominanceRadiusCells = 2.0;
+
 /// Stage 1: mark dominated candidates. A candidate j is dropped when some
-/// neighbour k within `radius` covers a superset of j's devices with no
-/// smaller award and a dwell j cannot beat by more than `slack`
-/// (relative); exact coverage ties keep the lowest index. Deterministic:
-/// the verdict for j depends only on the full set, never on drop order.
-void mark_dominated(const HoverCandidateSet& full, double radius,
-                    double slack, std::vector<char>& kept, int& dropped) {
+/// neighbour k within kDominanceRadiusCells grid steps covers a superset
+/// of j's devices with no smaller award and no cheaper dwell; exact
+/// coverage ties keep the lowest index. Deterministic: the verdict for j
+/// depends only on the full set, never on drop order.
+void mark_dominated(const HoverCandidateSet& full, std::vector<char>& kept,
+                    int& dropped) {
+    const double radius =
+        kDominanceRadiusCells * std::max(full.delta_m, 1e-9);
     const auto& cands = full.candidates;
     std::vector<geom::Vec2> positions(cands.size());
     for (std::size_t j = 0; j < cands.size(); ++j) {
@@ -71,7 +77,10 @@ void mark_dominated(const HoverCandidateSet& full, double radius,
             const auto cov_k = full.covered(k);
             if (cov_k.size() < cov_j.size()) return;
             if (ck.award_mb < cj.award_mb) return;
-            if (cj.dwell_s < ck.dwell_s * (1.0 - slack)) return;
+            // Subset coverage already implies dwell(j) <= dwell(k), so
+            // this demands exact dwell equality (the same bottleneck
+            // device): the quasi-lossless rule.
+            if (cj.dwell_s < ck.dwell_s) return;
             const double dx = ck.pos.x - cj.pos.x;
             const double dy = ck.pos.y - cj.pos.y;
             if (dx * dx + dy * dy > r2) return;
@@ -242,22 +251,12 @@ ReducedCandidates reduce_candidates(const HoverCandidateSet& full,
     UAVDC_REQUIRE(cfg.consolidate_to >= 0)
         << "reduce_candidates: consolidate_to must be >= 0, got "
         << cfg.consolidate_to;
-    UAVDC_REQUIRE(cfg.dominance_radius_m >= 0.0)
-        << "reduce_candidates: dominance_radius_m must be >= 0, got "
-        << cfg.dominance_radius_m;
 
     CandidateReductionStats stats;
     stats.original = util::checked_cast<int>(full.size());
     std::vector<char> kept(full.size(), 1);
     if (!full.candidates.empty()) {
-        if (cfg.dominance) {
-            const double radius =
-                cfg.dominance_radius_m > 0.0
-                    ? cfg.dominance_radius_m
-                    : 2.0 * std::max(full.delta_m, 1e-9);
-            mark_dominated(full, radius, cfg.dominance_dwell_slack, kept,
-                           stats.dominated);
-        }
+        if (cfg.dominance) mark_dominated(full, kept, stats.dominated);
         if (cfg.coarsen_factor > 1) {
             mark_coarsened(full, cfg.coarsen_factor, kept, stats.coarsened);
         }

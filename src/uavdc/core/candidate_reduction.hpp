@@ -21,22 +21,12 @@ class InvertedCoverageIndex;
 /// candidate is one of the generator's, with its exact Eq. 6-8 award /
 /// dwell / coverage, so planning a reduced set needs no re-scoring.
 struct CandidateReductionConfig {
-    /// Stage 1 — dominance filtering: drop candidate j when a nearby
-    /// candidate k covers a superset of j's devices with no smaller award
-    /// and no cheaper dwell (within `dominance_dwell_slack`, relative).
-    /// Visiting k instead of j then collects at least as much data for
-    /// essentially the same hover cost and a detour bounded by
-    /// `dominance_radius_m`.
+    /// Stage 1 — dominance filtering: drop candidate j when a candidate k
+    /// within 2x the generating grid's delta covers a superset of j's
+    /// devices with no smaller award and no cheaper dwell. Visiting k
+    /// instead of j then collects at least as much data for the same hover
+    /// cost and a detour of at most two cells.
     bool dominance = false;
-    /// Neighbourhood radius for the dominance scan; 0 = auto (2x the
-    /// generating grid's delta, i.e. the adjacent-cell ring where
-    /// subset-coverage pairs actually occur).
-    double dominance_radius_m = 0.0;
-    /// Relative dwell slack for dominance: j may be dropped when
-    /// dwell(j) >= dwell(k) * (1 - slack). Subset coverage already implies
-    /// dwell(j) <= dwell(k), so 0 demands exact dwell equality (the same
-    /// bottleneck device) — the quasi-lossless rule.
-    double dominance_dwell_slack = 0.0;
     /// Stage 2 — grid coarsening: >= 2 keeps only the best candidate
     /// (award desc, dwell asc, index asc) per coarse cell of edge
     /// `coarsen_factor * delta`. 1 disables.

@@ -214,11 +214,7 @@ HoverCandidateSet build_hover_candidates(const model::Instance& inst,
     HoverCandidateSet out;
     out.delta_m = cfg.delta_m;
 
-    geom::Aabb hover_region = inst.region;
-    if (cfg.inflate_by_coverage) {
-        hover_region = hover_region.inflated(inst.uav.coverage_radius_m);
-    }
-    const geom::Grid grid(hover_region, cfg.delta_m);
+    const geom::Grid grid(inst.region, cfg.delta_m);
     out.grid_cells = grid.num_cells();
 
     const double r0 = inst.uav.coverage_radius_m;
@@ -297,7 +293,7 @@ HoverCandidateSet build_hover_candidates(const model::Instance& inst,
     keys = {};
     out.nonzero_cells = util::checked_cast<int>(cells.size());
 
-    if (cfg.dedupe_identical_coverage && cells.size() > 1) {
+    if (cells.size() > 1) {
         retain(out, cells, unique_coverage(out, cells, grid, soa));
     }
     // Eq. 6-8 over each survivor's slice, in ascending device order.

@@ -16,17 +16,11 @@ struct DeviceSoa;
 /// Candidate-generation options (Sec. III-B / IV-A grid discretisation).
 struct HoverCandidateConfig {
     double delta_m = 10.0;  ///< grid edge length delta
-    /// Drop duplicate candidates whose covered-device set is identical to an
-    /// earlier candidate's (keeps the one closest to its coverage centroid).
-    bool dedupe_identical_coverage = true;
     /// Upper bound on the candidate count after dedup (0 = unlimited).
     /// When exceeded, a greedy set-cover pass keeps at least one candidate
     /// per coverable device, then the remaining slots go to the
     /// highest-award candidates (DESIGN.md substitution #5).
     int max_candidates = 4000;
-    /// Also consider hovering locations in a band of width R0 around the
-    /// region, so edge devices can be covered from outside the region.
-    bool inflate_by_coverage = false;
 };
 
 /// One candidate hovering location s_j with its precomputed quantities
@@ -79,8 +73,10 @@ inline constexpr std::uint64_t kMaxCandidateWindowCells = 100'000'000;
 inline constexpr std::uint64_t kMaxSweepWaypoints = 10'000'000;
 
 /// Build candidate hovering locations for `inst`: partition the region into
-/// delta-squares, keep cells covering >= 1 device, compute Eq. 6-8
-/// quantities, dedupe and cap per `cfg`. Only the cells within R0 of some
+/// delta-squares, keep cells covering >= 1 device, drop every candidate
+/// whose covered-device set is identical to another's (keeping the one
+/// closest to its coverage centroid), compute Eq. 6-8 quantities and cap
+/// per `cfg`. Only the cells within R0 of some
 /// device are visited, so the cost is O(coverage pairs), not O(cells).
 /// Throws std::invalid_argument, naming the figure, when the grid has more
 /// cells than int ids address or the devices' disk windows sum past

@@ -13,9 +13,9 @@ namespace uavdc::core {
 
 namespace {
 
-// reoptimize() switches from the exact O(n^2)-per-sweep 2-opt/Or-opt inside
-// christofides_tour to neighbor-list (k-nearest) sweeps at this many nodes
-// (depot + stops); below it the exact polish is cheap and kept as-is.
+// reoptimize() switches from the exact O(n^2)-per-sweep 2-opt/Or-opt on
+// the Christofides tour to neighbor-list (k-nearest) sweeps at this many
+// nodes (depot + stops); below it the exact polish is cheap and kept as-is.
 constexpr std::size_t kNeighborReoptMinNodes = 64;
 constexpr std::size_t kReoptNeighbors = 12;
 
@@ -237,17 +237,13 @@ double TourBuilder::reoptimize() {
     pts.push_back(depot_);
     pts.insert(pts.end(), stops_.begin(), stops_.end());
     const graph::DenseGraph g = graph::DenseGraph::euclidean(pts);
-    std::vector<std::size_t> order;
+    std::vector<std::size_t> order = graph::christofides_tour(g, 0);
     if (pts.size() < kNeighborReoptMinNodes) {
-        order = graph::christofides_tour(g, 0);
+        graph::two_opt(g, order);
+        graph::or_opt(g, order);
     } else {
-        // Large tours: construct without the built-in exact polish, then run
-        // neighbor-list 2-opt / Or-opt (O(n * k) per sweep instead of
-        // O(n^2)).
-        graph::ChristofidesConfig ccfg;
-        ccfg.improve_two_opt = false;
-        ccfg.improve_or_opt = false;
-        order = graph::christofides_tour(g, 0, ccfg);
+        // Large tours: neighbor-list 2-opt / Or-opt (O(n * k) per sweep
+        // instead of O(n^2)).
         const auto nb = graph::nearest_neighbor_lists(pts, kReoptNeighbors);
         graph::two_opt_neighbors(g, order, nb);
         graph::or_opt_neighbors(g, order, nb);

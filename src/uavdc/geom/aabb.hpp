@@ -46,11 +46,6 @@ struct Aabb {
                     {std::max(hi.x, p.x), std::max(hi.y, p.y)}};
     }
 
-    /// Box grown by margin m on every side.
-    [[nodiscard]] constexpr Aabb inflated(double m) const {
-        return Aabb{{lo.x - m, lo.y - m}, {hi.x + m, hi.y + m}};
-    }
-
     /// Distance from p to the box (0 if inside).
     [[nodiscard]] double distance_to(const Vec2& p) const {
         return distance(p, clamp(p));

@@ -10,6 +10,9 @@ namespace uavdc::geom {
 
 namespace {
 
+constexpr int kMaxIterations = 50;  ///< Lloyd iterations at most
+constexpr double kTol = 1e-6;  ///< stop when inertia improves less than this
+
 /// k-means++ seeding: first centre weighted-uniform, then proportional to
 /// squared distance from the nearest chosen centre.
 std::vector<Vec2> seed_centroids(std::span<const Vec2> pts,
@@ -81,7 +84,7 @@ KMeansResult kmeans(std::span<const Vec2> points, int k,
     };
 
     double prev_inertia = std::numeric_limits<double>::infinity();
-    for (int it = 0; it < cfg.max_iterations; ++it) {
+    for (int it = 0; it < kMaxIterations; ++it) {
         ++out.iterations;
         // Assign.
         double inertia = 0.0;
@@ -126,7 +129,7 @@ KMeansResult kmeans(std::span<const Vec2> points, int k,
                 out.centroids[c] = points[far_i];
             }
         }
-        if (prev_inertia - inertia < cfg.tol) break;
+        if (prev_inertia - inertia < kTol) break;
         prev_inertia = inertia;
     }
     out.cluster_sizes.assign(kk, 0);

@@ -19,15 +19,14 @@ struct KMeansResult {
 
 /// Options for Lloyd's algorithm.
 struct KMeansConfig {
-    int max_iterations = 50;
-    double tol = 1e-6;        ///< stop when inertia improves less than this
     std::uint64_t seed = 42;  ///< k-means++ seeding
 };
 
 /// Weighted k-means (Lloyd) with k-means++ seeding. `weights` may be empty
 /// (uniform); otherwise it must match `points`. k is clamped to the number
 /// of distinct points; empty clusters are re-seeded from the farthest
-/// point. Deterministic for a fixed config.
+/// point. Runs at most 50 Lloyd iterations, stopping early once inertia
+/// improves by less than 1e-6. Deterministic for a fixed config.
 [[nodiscard]] KMeansResult kmeans(std::span<const Vec2> points, int k,
                                   std::span<const double> weights = {},
                                   const KMeansConfig& cfg = {});

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "uavdc/graph/euler.hpp"
-#include "uavdc/graph/local_search.hpp"
 #include "uavdc/graph/matching.hpp"
 #include "uavdc/graph/mst.hpp"
 #include "uavdc/util/check.hpp"
@@ -11,8 +10,7 @@
 namespace uavdc::graph {
 
 std::vector<std::size_t> christofides_tour(const DenseGraph& g,
-                                           std::size_t start,
-                                           const ChristofidesConfig& cfg) {
+                                           std::size_t start) {
     const std::size_t n = g.size();
     UAVDC_REQUIRE(start < n || n == 0)
         << "christofides_tour: bad start node " << start;
@@ -29,8 +27,7 @@ std::vector<std::size_t> christofides_tour(const DenseGraph& g,
     for (std::size_t v = 0; v < n; ++v) {
         if (deg[v] % 2 != 0) odd.push_back(v);
     }
-    const Matching match =
-        min_weight_matching(g, odd, cfg.exact_matching_limit);
+    const Matching match = min_weight_matching(g, odd, kExactMatchingLimit);
 
     // 3. Union multigraph: MST edges + matching edges.
     std::vector<Edge> multi = tree;
@@ -41,29 +38,7 @@ std::vector<std::size_t> christofides_tour(const DenseGraph& g,
 
     // 4. Eulerian circuit, 5. shortcut.
     const std::vector<std::size_t> walk = eulerian_circuit(n, multi, start);
-    std::vector<std::size_t> tour = shortcut_walk(walk);
-
-    // 6. Optional local-search polish.
-    if (cfg.improve_two_opt) two_opt(g, tour);
-    if (cfg.improve_or_opt) or_opt(g, tour);
-    return tour;
-}
-
-std::vector<std::size_t> christofides_subtour(
-    const DenseGraph& g, const std::vector<std::size_t>& nodes,
-    const ChristofidesConfig& cfg) {
-    if (nodes.empty()) return {};
-    DenseGraph sub(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-            sub.set_weight(i, j, g.weight(nodes[i], nodes[j]));
-        }
-    }
-    const std::vector<std::size_t> order = christofides_tour(sub, 0, cfg);
-    std::vector<std::size_t> out;
-    out.reserve(order.size());
-    for (std::size_t i : order) out.push_back(nodes[i]);
-    return out;
+    return shortcut_walk(walk);
 }
 
 double euclidean_tour_length(std::span<const geom::Vec2> pts,

@@ -7,35 +7,22 @@
 
 namespace uavdc::graph {
 
-/// Options for the Christofides-style TSP heuristic.
-struct ChristofidesConfig {
-    /// Odd-degree sets up to this size use exact bitmask-DP matching;
-    /// above it a greedy matching with 2-swap improvement is used
-    /// (substitution #2 in DESIGN.md — exact blossom is out of scope).
-    std::size_t exact_matching_limit = 18;
-    /// Run 2-opt improvement on the shortcut tour.
-    bool improve_two_opt = true;
-    /// Run Or-opt (segment relocation, lengths 1..3) after 2-opt.
-    bool improve_or_opt = true;
-};
+/// Odd-degree sets up to this size use exact bitmask-DP matching; above
+/// it a greedy matching with 2-swap improvement is used (substitution #2
+/// in DESIGN.md — exact blossom is out of scope).
+inline constexpr std::size_t kExactMatchingLimit = 18;
 
 /// Christofides-style tour on a metric dense graph: MST + min-weight
-/// matching of odd-degree nodes + Eulerian circuit + shortcut, optionally
-/// polished with 2-opt / Or-opt. Returns the closed tour as a node order
-/// starting at node `start` (the closing edge back to start is implicit).
+/// matching of odd-degree nodes + Eulerian circuit + shortcut. Returns the
+/// closed tour as a node order starting at node `start` (the closing edge
+/// back to start is implicit), unpolished: callers run `two_opt` /
+/// `or_opt` or their neighbour-list forms on it.
 ///
 /// With exact matching this is the classic 1.5-approximation; with the
 /// greedy fallback it is a high-quality heuristic (paper's Alg. 2/3 and
 /// the benchmark planner only use it as a tour-construction subroutine).
 [[nodiscard]] std::vector<std::size_t> christofides_tour(
-    const DenseGraph& g, std::size_t start = 0,
-    const ChristofidesConfig& cfg = {});
-
-/// Tour over a subset of nodes of g (ids into g); returned order contains
-/// exactly the given nodes, starting at nodes.front().
-[[nodiscard]] std::vector<std::size_t> christofides_subtour(
-    const DenseGraph& g, const std::vector<std::size_t>& nodes,
-    const ChristofidesConfig& cfg = {});
+    const DenseGraph& g, std::size_t start = 0);
 
 /// Length of the closed tour that visits `pts` in the given order.
 [[nodiscard]] double euclidean_tour_length(

@@ -9,12 +9,7 @@ namespace uavdc::orienteering {
 /// GRASP (greedy randomized adaptive search procedure) configuration.
 struct GraspConfig {
     int iterations = 24;          ///< independent construct+polish restarts
-    double rcl_alpha = 0.35;      ///< candidate-list greediness (0 = pure
-                                  ///< greedy, 1 = uniform random)
     std::uint64_t seed = 12345;   ///< RNG seed (restarts use split streams)
-    double shake_fraction = 0.3;  ///< fraction of non-depot nodes dropped
-                                  ///< when perturbing the incumbent
-    int shakes_per_restart = 2;   ///< perturb+repolish rounds per restart
 };
 
 /// GRASP metaheuristic for rooted budgeted orienteering: randomized

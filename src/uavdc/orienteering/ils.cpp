@@ -11,14 +11,15 @@ namespace uavdc::orienteering {
 namespace {
 
 constexpr double kEps = 1e-9;
+constexpr int kSegmentMin = 1;  ///< perturbation: smallest removed run
+constexpr int kSegmentMax = 4;  ///< perturbation: largest removed run
 
 /// Remove a random contiguous run of non-depot stops from the tour.
-void remove_segment(const Problem& p, Solution& s, int seg_min, int seg_max,
-                    util::Rng& rng) {
+void remove_segment(const Problem& p, Solution& s, util::Rng& rng) {
     if (s.tour.size() <= 2) return;
     const auto removable = static_cast<std::int64_t>(s.tour.size()) - 1;
     const std::int64_t len = std::min<std::int64_t>(
-        removable, rng.uniform_int(seg_min, std::max(seg_min, seg_max)));
+        removable, rng.uniform_int(kSegmentMin, kSegmentMax));
     // Start somewhere among the non-depot positions [1, size-1].
     const std::int64_t start = rng.uniform_int(1, removable);
     std::vector<std::size_t> keep;
@@ -51,7 +52,7 @@ Solution solve_ils(const Problem& p, const IlsConfig& cfg) {
     int stale = 0;
     for (int it = 0; it < cfg.iterations; ++it) {
         Solution cand = best;
-        remove_segment(p, cand, cfg.segment_min, cfg.segment_max, rng);
+        remove_segment(p, cand, rng);
         polish(p, cand, cache);
         if (cand.feasible(p) &&
             (cand.prize > best.prize + kEps ||

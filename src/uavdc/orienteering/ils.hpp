@@ -10,8 +10,6 @@ namespace uavdc::orienteering {
 struct IlsConfig {
     int iterations = 60;           ///< perturb + polish rounds
     std::uint64_t seed = 777;      ///< RNG seed
-    int segment_min = 1;           ///< perturbation: smallest removed run
-    int segment_max = 4;           ///< perturbation: largest removed run
     int patience = 20;             ///< stop after this many non-improving
                                    ///< rounds (0 = never early-stop)
 };

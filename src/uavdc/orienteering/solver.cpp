@@ -20,7 +20,7 @@ std::string to_string(SolverKind kind) {
 }
 
 Solution solve(const Problem& p, SolverKind kind,
-               const GraspConfig& grasp_cfg, const IlsConfig& ils_cfg) {
+               const GraspConfig& grasp_cfg) {
     switch (kind) {
         case SolverKind::kExact:
             return solve_exact(p);
@@ -29,7 +29,7 @@ Solution solve(const Problem& p, SolverKind kind,
         case SolverKind::kGrasp:
             return solve_grasp(p, grasp_cfg);
         case SolverKind::kIls:
-            return solve_ils(p, ils_cfg);
+            return solve_ils(p);
     }
     return solve_greedy(p);
 }

@@ -21,11 +21,10 @@ enum class SolverKind {
 
 [[nodiscard]] std::string to_string(SolverKind kind);
 
-/// Unified entry point: dispatches on `kind`. kExact throws
-/// std::invalid_argument if the instance exceeds the bitmask-DP limit —
-/// there is deliberately no silent fallback.
+/// Unified entry point: dispatches on `kind`; ILS runs at its defaults.
+/// kExact throws std::invalid_argument if the instance exceeds the
+/// bitmask-DP limit — there is deliberately no silent fallback.
 [[nodiscard]] Solution solve(const Problem& p, SolverKind kind,
-                             const GraspConfig& grasp_cfg = {},
-                             const IlsConfig& ils_cfg = {});
+                             const GraspConfig& grasp_cfg = {});
 
 }  // namespace uavdc::orienteering

@@ -7,32 +7,12 @@
 
 #include "uavdc/core/planning_context.hpp"
 #include "uavdc/io/serialize.hpp"
+#include "uavdc/model/planning_content.hpp"
 #include "uavdc/util/check.hpp"
 
 namespace uavdc::service {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void fnv_double(std::uint64_t& h, double d) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof(bits));
-    fnv_bytes(h, &bits, sizeof(bits));
-}
-
-void fnv_int(std::uint64_t& h, std::int64_t v) {
-    fnv_bytes(h, &v, sizeof(v));
-}
 
 /// Fixed-width lowercase-hex bit pattern of a double (canonical, exact).
 std::string hex_bits(double d) {
@@ -61,38 +41,14 @@ bool known_planner(const std::string& name) {
     return std::find(names.begin(), names.end(), name) != names.end();
 }
 
-/// Field-for-field equality over exactly the content that
-/// `PlanningContext::instance_fingerprint` hashes. The log-label `name` is
-/// deliberately excluded to match the fingerprint: two submissions of the
-/// same physical instance under different labels are the same instance,
-/// not a collision.
+/// Field-for-field `==` over exactly the content that
+/// `PlanningContext::instance_fingerprint` hashes (so the log label `name`
+/// is left out: two submissions of the same physical instance under
+/// different labels are the same instance, not a collision).
 bool same_planning_content(const model::Instance& a,
                            const model::Instance& b) {
-    const auto same_vec = [](const geom::Vec2& u, const geom::Vec2& v) {
-        return u.x == v.x && u.y == v.y;
-    };
-    if (!same_vec(a.region.lo, b.region.lo) ||
-        !same_vec(a.region.hi, b.region.hi) ||
-        !same_vec(a.depot, b.depot)) {
-        return false;
-    }
-    if (a.devices.size() != b.devices.size()) return false;
-    for (std::size_t i = 0; i < a.devices.size(); ++i) {
-        const auto& da = a.devices[i];
-        const auto& db = b.devices[i];
-        if (da.id != db.id || !same_vec(da.pos, db.pos) ||
-            da.data_mb != db.data_mb) {
-            return false;
-        }
-    }
-    const auto& ua = a.uav;
-    const auto& ub = b.uav;
-    return ua.energy_j == ub.energy_j && ua.speed_mps == ub.speed_mps &&
-           ua.hover_power_w == ub.hover_power_w &&
-           ua.travel_rate == ub.travel_rate &&
-           ua.travel_energy_model == ub.travel_energy_model &&
-           ua.coverage_radius_m == ub.coverage_radius_m &&
-           ua.bandwidth_mbps == ub.bandwidth_mbps;
+    return model::walk_planning_content(
+        [](auto x, auto y) { return x == y; }, a, b);
 }
 
 }  // namespace
@@ -113,8 +69,10 @@ std::string canonical_options(const std::string& planner,
     s += ";so=" + std::to_string(static_cast<int>(opts.solver));
     const core::CandidateReductionConfig& r = opts.reduction;
     s += ";rd=" + std::to_string(r.dominance ? 1 : 0);
-    s += ";rr=" + hex_bits(r.dominance_radius_m);
-    s += ";rs=" + hex_bits(r.dominance_dwell_slack);
+    // The folded dominance radius and dwell slack, as the bit patterns of
+    // the 0.0 they always were, so cache keys and repository logs keep
+    // their values.
+    s += ";rr=0000000000000000;rs=0000000000000000";
     s += ";rc=" + std::to_string(r.coarsen_factor);
     s += ";rb=" + hex_bits(r.refine_band_m);
     s += ";rk=" + std::to_string(r.consolidate_to);
@@ -122,36 +80,23 @@ std::string canonical_options(const std::string& planner,
 }
 
 std::uint64_t options_key(const std::string& options_canon) {
-    std::uint64_t h = kFnvOffset;
-    fnv_bytes(h, options_canon.data(), options_canon.size());
+    std::uint64_t h = model::kFnvOffset;
+    model::fnv_bytes(h, options_canon.data(), options_canon.size());
     return h;
 }
 
 std::uint64_t instance_check_hash(const model::Instance& inst) {
     // Different seed than PlanningContext::instance_fingerprint (golden
-    // ratio XOR), same content walk: a pair of instances would have to
-    // collide under both unrelated seeds at once to fool the cache.
-    std::uint64_t h = kFnvOffset ^ 0x9e3779b97f4a7c15ULL;
-    fnv_double(h, inst.region.lo.x);
-    fnv_double(h, inst.region.lo.y);
-    fnv_double(h, inst.region.hi.x);
-    fnv_double(h, inst.region.hi.y);
-    fnv_double(h, inst.depot.x);
-    fnv_double(h, inst.depot.y);
-    fnv_int(h, static_cast<std::int64_t>(inst.devices.size()));
-    for (const auto& d : inst.devices) {
-        fnv_int(h, d.id);
-        fnv_double(h, d.pos.x);
-        fnv_double(h, d.pos.y);
-        fnv_double(h, d.data_mb);
-    }
-    fnv_double(h, inst.uav.energy_j);
-    fnv_double(h, inst.uav.speed_mps);
-    fnv_double(h, inst.uav.hover_power_w);
-    fnv_double(h, inst.uav.travel_rate);
-    fnv_int(h, static_cast<std::int64_t>(inst.uav.travel_energy_model));
-    fnv_double(h, inst.uav.coverage_radius_m);
-    fnv_double(h, inst.uav.bandwidth_mbps);
+    // ratio XOR), same content walk, each field's bytes as stored (so
+    // -0.0 and 0.0 differ): a pair of instances would have to collide
+    // under both unrelated seeds at once to fool the cache.
+    std::uint64_t h = model::kFnvOffset ^ 0x9e3779b97f4a7c15ULL;
+    model::walk_planning_content(
+        [&h](auto v) {
+            model::fnv_bytes(h, &v, sizeof(v));
+            return true;
+        },
+        inst);
     return h;
 }
 

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <iterator>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
 #include "uavdc/io/serialize.hpp"
-#include "uavdc/util/check.hpp"
 
 namespace uavdc::service {
 
@@ -18,23 +17,31 @@ namespace {
     throw std::runtime_error("bad request: " + what);
 }
 
+/// Every key a request may carry at top level, in the order the error
+/// message lists.
+constexpr std::string_view kRequestKeys[] = {
+    "id", "planner", "instance", "instance_ref", "options", "priority",
+    "deadline_ms"};
+
 /// Every key `options` may carry, in the order the error message lists.
 constexpr std::string_view kOptionKeys[] = {
     "delta_m", "max_candidates", "k", "grasp_iterations", "solver",
     "reduce", "reduce_coarsen", "reduce_band_m", "reduce_consolidate"};
 
-void check_option_keys(const io::Json& opts) {
-    for (const auto& entry : opts.as_object()) {
+/// Refuse a key of `obj` outside `known`, naming it and the accepted ones:
+/// a misspelt key must not plan silently without it.
+void check_keys(const io::Json& obj, std::span<const std::string_view> known,
+                const char* what) {
+    for (const auto& entry : obj.as_object()) {
         const std::string& key = entry.first;
-        if (std::ranges::find(kOptionKeys, key) != std::end(kOptionKeys)) {
-            continue;
-        }
+        if (std::ranges::find(known, key) != known.end()) continue;
         std::string accepted;
-        for (const std::string_view k : kOptionKeys) {
+        for (const std::string_view k : known) {
             if (!accepted.empty()) accepted += '|';
             accepted += k;
         }
-        bad("unknown option '" + key + "' (expected " + accepted + ")");
+        bad(std::string("unknown ") + what + " '" + key + "' (expected " +
+            accepted + ")");
     }
 }
 
@@ -46,11 +53,19 @@ orienteering::SolverKind solver_from_string(const std::string& s) {
     bad("unknown solver '" + s + "' (expected exact|greedy|grasp|ils)");
 }
 
-int int_field(const io::Json& obj, const std::string& key) {
-    const double v = obj.at(key).as_number();
-    UAVDC_REQUIRE(v >= -2147483648.0 && v <= 2147483647.0)
-        << "request field '" << key << "' out of int range: " << v;
+int checked_int(double v, const std::string& key) {
+    if (!(v >= -2147483648.0 && v <= 2147483647.0)) {
+        std::ostringstream msg;
+        msg << std::setprecision(17) << "'" << key
+            << "' out of int range: " << v;
+        bad(msg.str());
+    }
+    // NOLINTNEXTLINE(uavdc-unchecked-narrowing): range-checked just above
     return static_cast<int>(v);
+}
+
+int int_field(const io::Json& obj, const std::string& key) {
+    return checked_int(obj.at(key).as_number(), key);
 }
 
 int bounded_int_field(const io::Json& obj, const std::string& key, int lo,
@@ -141,6 +156,7 @@ void check_request_envelope(const io::Json& doc) {
 
 PlanRequest request_from_json(const io::Json& doc) {
     check_request_envelope(doc);
+    check_keys(doc, kRequestKeys, "request key");
     PlanRequest req;
     req.id = doc.at("id").as_string();
     req.planner = doc.string_or("planner", "");
@@ -165,7 +181,7 @@ PlanRequest request_from_json(const io::Json& doc) {
     if (doc.contains("options")) {
         const io::Json& opts = doc.at("options");
         if (!opts.is_object()) bad("'options' must be an object");
-        check_option_keys(opts);
+        check_keys(opts, kOptionKeys, "option");
         if (opts.contains("delta_m")) {
             req.overrides.delta_m = opts.at("delta_m").as_number();
         }
@@ -197,10 +213,7 @@ PlanRequest request_from_json(const io::Json& doc) {
                 int_field(opts, "reduce_consolidate");
         }
     }
-    const double priority = doc.number_or("priority", 0.0);
-    UAVDC_REQUIRE(priority >= -2147483648.0 && priority <= 2147483647.0)
-        << "priority out of int range: " << priority;
-    req.priority = static_cast<int>(priority);
+    req.priority = checked_int(doc.number_or("priority", 0.0), "priority");
     req.deadline_ms = doc.number_or("deadline_ms", 0.0);
     return req;
 }

@@ -99,9 +99,9 @@ struct PlanResponse {
 ///                "reduce_band_m": num, "reduce_consolidate": int},
 ///    "priority": int, "deadline_ms": num}
 /// Throws std::runtime_error (with field context) on malformed input — the
-/// transport maps that to a `bad_request` response. An `options` key not
-/// listed above is malformed: a misspelt option must not plan silently
-/// without it.
+/// transport maps that to a `bad_request` response. A key not listed
+/// above, at top level or in `options`, is malformed: a misspelt
+/// `deadline_ms` or option must not plan silently without it.
 [[nodiscard]] PlanRequest request_from_json(const io::Json& doc);
 /// The checks `request_from_json` makes first, and throws from as it does:
 /// `doc` is an object with a non-empty `id`. The router makes them before

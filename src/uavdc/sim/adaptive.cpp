@@ -27,7 +27,7 @@ SimReport fly_adaptive(const model::Instance& inst,
         leg_energy[i] =
             inst.uav.travel_energy(geom::distance(points[i], points[i + 1]));
     }
-    std::vector<double> reserve_after(legs + 1, cfg.safety_margin_j);
+    std::vector<double> reserve_after(legs + 1, 0.0);
     for (std::size_t i = legs; i-- > 0;) {
         reserve_after[i] = reserve_after[i + 1] + leg_energy[i];
     }
@@ -58,8 +58,7 @@ SimReport fly_adaptive(const model::Instance& inst,
     }
 
     // Abort up front if the bare route does not fit.
-    if (reserve_after[0] - cfg.safety_margin_j >
-        battery.remaining_j() + 1e-9) {
+    if (reserve_after[0] > battery.remaining_j() + 1e-9) {
         rep.battery_depleted = true;
         return rep;
     }

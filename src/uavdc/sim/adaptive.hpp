@@ -11,8 +11,6 @@ namespace uavdc::sim {
 struct AdaptiveConfig {
     /// Actual-world radio model (nullptr = the paper's constant rate).
     const RadioModel* radio = nullptr;
-    /// Extra energy kept untouched on top of the route-home reserve.
-    double safety_margin_j = 0.0;
 };
 
 /// Execute a planned route with *adaptive dwells* (extension beyond the

@@ -163,9 +163,16 @@ inline std::vector<std::vector<std::size_t>> nearest_neighbor_lists(
     return nb;
 }
 
+/// The Christofides options as they stood when this oracle was frozen.
+struct ChristofidesConfig {
+    std::size_t exact_matching_limit = 18;
+    bool improve_two_opt = true;
+    bool improve_or_opt = true;
+};
+
 inline std::vector<std::size_t> christofides_tour(
     const DenseGraph& g, std::size_t start,
-    const graph::ChristofidesConfig& cfg = {}) {
+    const ChristofidesConfig& cfg = {}) {
     const std::size_t n = g.size();
     if (n == 0) return {};
     if (n == 1) return {0};
@@ -209,7 +216,7 @@ inline Reopt reoptimize(const core::TourBuilder& t) {
     if (pts.size() < 64) {
         order = christofides_oracle::christofides_tour(g, 0);
     } else {
-        graph::ChristofidesConfig ccfg;
+        ChristofidesConfig ccfg;
         ccfg.improve_two_opt = false;
         ccfg.improve_or_opt = false;
         order = christofides_oracle::christofides_tour(g, 0, ccfg);

@@ -30,6 +30,7 @@
 #include "uavdc/geom/vec2.hpp"
 #include "uavdc/graph/christofides.hpp"
 #include "uavdc/graph/dense_graph.hpp"
+#include "uavdc/graph/local_search.hpp"
 #include "uavdc/util/check.hpp"
 #include "uavdc/util/parallel_for.hpp"
 #include "uavdc/util/timer.hpp"
@@ -156,7 +157,9 @@ class GreedyCoverageOracle {
                             // rebuild.
                             // NOLINTNEXTLINE(uavdc-no-dense-rebuild-in-loop)
                             const auto g2 = graph::DenseGraph::euclidean(pts);
-                            const auto order = graph::christofides_tour(g2, 0);
+                            auto order = graph::christofides_tour(g2, 0);
+                            graph::two_opt(g2, order);
+                            graph::or_opt(g2, order);
                             const double new_len = g2.tour_length(order);
                             s.travel_delta_m =
                                 std::max(0.0, new_len - tour.length());
@@ -391,9 +394,6 @@ class PartialCollectionOracle {
 /// per prune.
 class PruneTspOracle {
   public:
-    explicit PruneTspOracle(core::BenchmarkPlannerConfig cfg = {})
-        : cfg_(cfg) {}
-
     [[nodiscard]] PlanResult plan(const PlanningContext& ctx) const {
         util::Timer timer;
         PlanResult out;
@@ -450,7 +450,7 @@ class PruneTspOracle {
             collected_mb -= d.data_mb;
             tour.remove(worst);
         }
-        if (cfg_.reoptimize_after_prune) tour.reoptimize();
+        tour.reoptimize();
 
         for (std::size_t i = 0; i < tour.size(); ++i) {
             const auto& d =
@@ -464,9 +464,6 @@ class PruneTspOracle {
         out.stats.runtime_s = timer.seconds();
         return out;
     }
-
-  private:
-    core::BenchmarkPlannerConfig cfg_;
 };
 
 }  // namespace uavdc::testing::greedy_oracle

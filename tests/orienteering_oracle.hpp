@@ -182,13 +182,20 @@ inline void shake(const Problem& p, Solution& s, double fraction,
     s = orienteering::make_solution(p, std::move(keep));
 }
 
+// GRASP's and ILS's fixed tuning as it stood when this oracle was frozen.
+constexpr double kRclAlpha = 0.35;
+constexpr double kShakeFraction = 0.3;
+constexpr int kShakesPerRestart = 2;
+constexpr int kSegmentMin = 1;
+constexpr int kSegmentMax = 4;
+
 inline Solution solve_grasp(const Problem& p,
                             const orienteering::GraspConfig& cfg) {
     Solution best = solve_greedy(p);
     util::Rng root(cfg.seed);
     for (int it = 0; it < cfg.iterations; ++it) {
         util::Rng rng = root.split(static_cast<std::uint64_t>(it) + 1);
-        Solution s = construct(p, cfg.rcl_alpha, rng);
+        Solution s = construct(p, kRclAlpha, rng);
         polish(p, s);
         if (s.feasible(p) &&
             (s.prize > best.prize + kEps ||
@@ -196,8 +203,8 @@ inline Solution solve_grasp(const Problem& p,
             best = s;
         }
         Solution inc = best;
-        for (int round = 0; round < cfg.shakes_per_restart; ++round) {
-            shake(p, inc, cfg.shake_fraction, rng);
+        for (int round = 0; round < kShakesPerRestart; ++round) {
+            shake(p, inc, kShakeFraction, rng);
             polish(p, inc);
             if (inc.feasible(p) && inc.prize > best.prize + kEps) best = inc;
         }
@@ -237,7 +244,7 @@ inline Solution solve_ils(const Problem& p,
     int stale = 0;
     for (int it = 0; it < cfg.iterations; ++it) {
         Solution cand = best;
-        remove_segment(p, cand, cfg.segment_min, cfg.segment_max, rng);
+        remove_segment(p, cand, kSegmentMin, kSegmentMax, rng);
         polish(p, cand);
         if (cand.feasible(p) &&
             (cand.prize > best.prize + kEps ||

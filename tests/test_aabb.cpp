@@ -42,13 +42,6 @@ TEST(Aabb, Expanded) {
     EXPECT_EQ(e.hi, Vec2(5.0, 1.0));
 }
 
-TEST(Aabb, Inflated) {
-    const Aabb b = Aabb::of_size(10.0, 10.0);
-    const Aabb i = b.inflated(2.0);
-    EXPECT_EQ(i.lo, Vec2(-2.0, -2.0));
-    EXPECT_EQ(i.hi, Vec2(12.0, 12.0));
-}
-
 TEST(Aabb, DistanceTo) {
     const Aabb b = Aabb::of_size(10.0, 10.0);
     EXPECT_DOUBLE_EQ(b.distance_to({5.0, 5.0}), 0.0);

@@ -83,21 +83,6 @@ TEST(Adaptive, ExtendsDwellForSlowDevice) {
     EXPECT_GT(rep.hover_s, 2.0);
 }
 
-TEST(Adaptive, SafetyMarginReducesHover) {
-    const auto inst = manual_instance({{{90.0, 50.0}, 3000.0}});
-    model::FlightPlan plan;
-    plan.stops.push_back({{50.0, 50.0}, 20.0, -1});
-    auto tight = inst;
-    tight.uav.energy_j = 2.0e4;
-    AdaptiveConfig no_margin;
-    AdaptiveConfig margin;
-    margin.safety_margin_j = 5.0e3;
-    const auto a = fly_adaptive(tight, plan, no_margin);
-    const auto b = fly_adaptive(tight, plan, margin);
-    EXPECT_LT(b.hover_s, a.hover_s);
-    EXPECT_LE(b.energy_used_j + 5.0e3, tight.uav.energy_j + 1e-6);
-}
-
 TEST(Adaptive, ImpossibleRouteReported) {
     auto inst = manual_instance({{{200.0, 0.0}, 100.0}}, 300.0);
     inst.uav.energy_j = 100.0;  // 1 m of flight

@@ -88,12 +88,6 @@ TEST(CandidateReduction, NeverDropsLastCovererOfAnyDevice) {
     util::Rng rng(20260809);
     const CandidateReductionConfig profiles[] = {
         [] { CandidateReductionConfig c; c.dominance = true; return c; }(),
-        [] {
-            CandidateReductionConfig c;
-            c.dominance = true;
-            c.dominance_dwell_slack = 0.05;
-            return c;
-        }(),
         [] { CandidateReductionConfig c; c.coarsen_factor = 3; return c; }(),
         [] {
             CandidateReductionConfig c;
@@ -238,12 +232,10 @@ TEST(PlanningContext, ReductionMemoKeysOnStageFieldsOnly) {
         c.refine_band_m = band;
         EXPECT_EQ(&ctx->reduced_candidates(c), shared) << band;
     }
-    std::vector<CandidateReductionConfig> stages(5, base);
+    std::vector<CandidateReductionConfig> stages(3, base);
     stages[0].dominance = false;
-    stages[1].dominance_radius_m = 30.0;
-    stages[2].dominance_dwell_slack = 0.05;
-    stages[3].coarsen_factor = 4;
-    stages[4].consolidate_to = 12;
+    stages[1].coarsen_factor = 4;
+    stages[2].consolidate_to = 12;
     std::set<const ReducedCandidates*> seen{shared};
     for (std::size_t i = 0; i < stages.size(); ++i) {
         EXPECT_TRUE(seen.insert(&ctx->reduced_candidates(stages[i])).second)
@@ -420,12 +412,15 @@ TEST(PlanDriver, EmptyReducedPlanFallsBackToTheFullSet) {
     EXPECT_EQ(out.stats.candidates, static_cast<int>(sizes[1]));
 }
 
-/// One device near the depot and a rich cluster far beyond the budget.
-/// Consolidating to one candidate keeps a cluster member, and the coverage
-/// pass reinstates the near device's lowest-index coverer, which lies
-/// beyond the budget; the full set has coverers that do not.
+/// One device on a cell centre near the depot, a second 90 m from it, and
+/// a rich cluster far beyond the budget. Consolidating to one candidate
+/// keeps a cluster member, and the coverage pass reinstates the near
+/// device's highest-award coverer, the one that also covers the second
+/// device, which lies beyond the budget; the full set keeps the near
+/// device's own cell, which does not.
 model::Instance stranded_instance() {
-    std::vector<std::pair<geom::Vec2, double>> devices{{{45.0, 52.0}, 100.0}};
+    std::vector<std::pair<geom::Vec2, double>> devices{{{15.0, 15.0}, 100.0},
+                                                       {{105.0, 15.0}, 100.0}};
     for (int i = 0; i < 20; ++i) {
         devices.push_back({{1460.0 + 20.0 * (i % 5), 1470.0 + 20.0 * (i / 5)},
                            500.0});
@@ -439,7 +434,6 @@ TEST(PlanDriver, PlannersFallBackToTheFullSetWhenTheReducedPlanIsEmpty) {
     const auto inst = stranded_instance();
     HoverCandidateConfig hover;
     hover.delta_m = 10.0;
-    hover.dedupe_identical_coverage = false;
     const auto ctx = PlanningContext::build(inst, hover);
     CandidateReductionConfig red;
     red.consolidate_to = 1;

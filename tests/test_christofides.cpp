@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "uavdc/graph/local_search.hpp"
 #include "uavdc/graph/mst.hpp"
 #include "uavdc/util/rng.hpp"
 
@@ -70,8 +71,7 @@ TEST(Christofides, RespectsStartNode) {
 
 TEST(Christofides, AtMostTwiceMstLowerBound) {
     // MST weight is a lower bound on the optimal tour; Christofides (even
-    // with greedy matching + local search) stays within 2x MST on Euclidean
-    // instances.
+    // with greedy matching) stays within 2x MST on Euclidean instances.
     for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
         const auto pts = random_points(60, seed);
         const DenseGraph g = DenseGraph::euclidean(pts);
@@ -111,33 +111,15 @@ TEST(Christofides, CoincidentPoints) {
     EXPECT_NEAR(g.tour_length(tour), 2.0, 1e-9);
 }
 
-TEST(Christofides, ConfigDisablesImprovement) {
+TEST(Christofides, PolishNeverLengthensTheShortcutTour) {
     const auto pts = random_points(30, 20);
     const DenseGraph g = DenseGraph::euclidean(pts);
-    ChristofidesConfig raw;
-    raw.improve_two_opt = false;
-    raw.improve_or_opt = false;
-    const auto rough = christofides_tour(g, 0, raw);
-    const auto polished = christofides_tour(g, 0);
+    const auto rough = christofides_tour(g, 0);
+    auto polished = rough;
+    two_opt(g, polished);
+    or_opt(g, polished);
     check_is_tour(rough, g.size(), 0);
     EXPECT_LE(g.tour_length(polished), g.tour_length(rough) + 1e-9);
-}
-
-TEST(Christofides, SubtourOverNodeSubset) {
-    const auto pts = random_points(20, 30);
-    const DenseGraph g = DenseGraph::euclidean(pts);
-    const std::vector<std::size_t> subset{4, 9, 2, 17, 11};
-    const auto tour = christofides_subtour(g, subset);
-    ASSERT_EQ(tour.size(), subset.size());
-    EXPECT_EQ(tour.front(), subset.front());
-    const std::set<std::size_t> want(subset.begin(), subset.end());
-    const std::set<std::size_t> got(tour.begin(), tour.end());
-    EXPECT_EQ(got, want);
-}
-
-TEST(Christofides, SubtourEmpty) {
-    const DenseGraph g(5);
-    EXPECT_TRUE(christofides_subtour(g, {}).empty());
 }
 
 TEST(EuclideanTourLength, MatchesGraph) {

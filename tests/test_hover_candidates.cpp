@@ -24,7 +24,6 @@ TEST(HoverCandidates, SingleDeviceQuantities) {
     const auto inst = manual_instance({{{100.0, 100.0}, 300.0}});
     HoverCandidateConfig cfg;
     cfg.delta_m = 20.0;
-    cfg.dedupe_identical_coverage = false;
     cfg.max_candidates = 0;
     const auto set = build_hover_candidates(inst, cfg);
     ASSERT_GT(set.size(), 0u);
@@ -37,8 +36,8 @@ TEST(HoverCandidates, SingleDeviceQuantities) {
         EXPECT_DOUBLE_EQ(c.hover_energy_j, 300.0);  // 2 s * 150 W
         EXPECT_TRUE(std::ranges::equal(set.covered(j), std::vector<int>{0}));
     }
-    // Number of candidate cells ~ area of the disk / delta^2.
-    EXPECT_GT(set.size(), 10u);
+    // Number of cells covering the device ~ area of the disk / delta^2.
+    EXPECT_GT(set.nonzero_cells, 10);
     EXPECT_EQ(set.grid_cells, 100);  // (200/20)^2
 }
 
@@ -47,7 +46,6 @@ TEST(HoverCandidates, AwardSumsCoveredDevices) {
         {{{100.0, 100.0}, 200.0}, {{110.0, 100.0}, 400.0}});
     HoverCandidateConfig cfg;
     cfg.delta_m = 10.0;
-    cfg.dedupe_identical_coverage = false;
     cfg.max_candidates = 0;
     const auto set = build_hover_candidates(inst, cfg);
     bool found_both = false;
@@ -82,12 +80,9 @@ TEST(HoverCandidates, DedupeRemovesIdenticalCoverage) {
     const auto inst = manual_instance({{{100.0, 100.0}, 300.0}});
     HoverCandidateConfig fine;
     fine.delta_m = 5.0;
-    fine.dedupe_identical_coverage = false;
     fine.max_candidates = 0;
-    const auto raw = build_hover_candidates(inst, fine);
-    fine.dedupe_identical_coverage = true;
     const auto dedup = build_hover_candidates(inst, fine);
-    EXPECT_GT(raw.size(), 100u);
+    EXPECT_GT(dedup.nonzero_cells, 100);
     EXPECT_EQ(dedup.size(), 1u);
     // The kept representative is the best-centred one.
     EXPECT_LE(geom::distance(dedup.candidates[0].pos, {100.0, 100.0}),
@@ -116,21 +111,6 @@ TEST(HoverCandidates, CapRespectedAndDevicesStillCovered) {
     EXPECT_EQ(covered, coverable);
 }
 
-TEST(HoverCandidates, InflateCoversEdgeDevices) {
-    // Device in the region corner: without inflation the best cell centre
-    // is inside the region; with inflation centres outside may cover it
-    // better. Both must cover the device.
-    const auto inst = manual_instance({{{1.0, 1.0}, 100.0}});
-    HoverCandidateConfig cfg;
-    cfg.delta_m = 10.0;
-    cfg.max_candidates = 0;
-    cfg.dedupe_identical_coverage = false;
-    const auto inside = build_hover_candidates(inst, cfg);
-    cfg.inflate_by_coverage = true;
-    const auto inflated = build_hover_candidates(inst, cfg);
-    EXPECT_GT(inflated.size(), inside.size());
-}
-
 TEST(HoverCandidates, NoDevicesNoCandidates) {
     model::Instance inst;
     inst.region = geom::Aabb::of_size(100.0, 100.0);
@@ -144,12 +124,11 @@ TEST(HoverCandidates, DeltaControlsGranularity) {
     HoverCandidateConfig coarse;
     coarse.delta_m = 50.0;
     coarse.max_candidates = 0;
-    coarse.dedupe_identical_coverage = false;
     HoverCandidateConfig fine = coarse;
     fine.delta_m = 10.0;
     const auto c = build_hover_candidates(inst, coarse);
     const auto f = build_hover_candidates(inst, fine);
-    EXPECT_GT(f.size(), c.size());
+    EXPECT_GT(f.nonzero_cells, c.nonzero_cells);
 }
 
 
@@ -185,11 +164,7 @@ double ref_spread(const model::Instance& inst, const RefCandidate& rc) {
 
 RefSet reference_candidates(const model::Instance& inst,
                             const HoverCandidateConfig& cfg) {
-    geom::Aabb region = inst.region;
-    if (cfg.inflate_by_coverage) {
-        region = region.inflated(inst.uav.coverage_radius_m);
-    }
-    const geom::Grid grid(region, cfg.delta_m);
+    const geom::Grid grid(inst.region, cfg.delta_m);
     const double r = inst.uav.coverage_radius_m;
     const double bw = inst.uav.bandwidth_mbps;
     RefSet out;
@@ -216,24 +191,22 @@ RefSet reference_candidates(const model::Instance& inst,
     }
     out.nonzero_cells = static_cast<int>(out.cands.size());
 
-    if (cfg.dedupe_identical_coverage) {
-        // Per distinct coverage set, the first candidate of least spread.
-        std::map<std::vector<int>, std::size_t> winner;
-        for (std::size_t i = 0; i < out.cands.size(); ++i) {
-            auto [it, fresh] = winner.try_emplace(out.cands[i].covered, i);
-            if (!fresh && ref_spread(inst, out.cands[i]) <
-                              ref_spread(inst, out.cands[it->second])) {
-                it->second = i;
-            }
+    // Per distinct coverage set, the first candidate of least spread.
+    std::map<std::vector<int>, std::size_t> winner;
+    for (std::size_t i = 0; i < out.cands.size(); ++i) {
+        auto [it, fresh] = winner.try_emplace(out.cands[i].covered, i);
+        if (!fresh && ref_spread(inst, out.cands[i]) <
+                          ref_spread(inst, out.cands[it->second])) {
+            it->second = i;
         }
-        std::vector<char> keep(out.cands.size(), 0);
-        for (const auto& [cov, i] : winner) keep[i] = 1;
-        std::vector<RefCandidate> kept;
-        for (std::size_t i = 0; i < out.cands.size(); ++i) {
-            if (keep[i] != 0) kept.push_back(out.cands[i]);
-        }
-        out.cands = std::move(kept);
     }
+    std::vector<char> keep(out.cands.size(), 0);
+    for (const auto& [cov, i] : winner) keep[i] = 1;
+    std::vector<RefCandidate> kept;
+    for (std::size_t i = 0; i < out.cands.size(); ++i) {
+        if (keep[i] != 0) kept.push_back(out.cands[i]);
+    }
+    out.cands = std::move(kept);
     out.after_dedupe = static_cast<int>(out.cands.size());
 
     const auto cap = static_cast<std::size_t>(std::max(cfg.max_candidates, 0));
@@ -323,8 +296,6 @@ TEST(HoverCandidates, MatchesBruteForceReferenceOnSeededInstances) {
 
         HoverCandidateConfig cfg;
         cfg.delta_m = deltas[(trial / 3) % 4];
-        cfg.inflate_by_coverage = (trial / 12) % 2 == 1;
-        cfg.dedupe_identical_coverage = (trial / 24) % 2 == 0;
         if ((trial / 48) % 2 == 1) {
             // A cap that binds: a third of the uncapped set.
             HoverCandidateConfig uncapped = cfg;
@@ -341,19 +312,16 @@ TEST(HoverCandidates, MatchesBruteForceReferenceOnSeededInstances) {
     }
 }
 
-/// Degenerate layouts, each under dedupe on/off, inflation on/off and a
-/// binding cap.
+/// Degenerate layouts, each uncapped and under a binding cap.
 void expect_matches_reference_all_configs(const model::Instance& inst,
                                           double delta,
                                           const std::string& tag) {
-    for (int flags = 0; flags < 8; ++flags) {
+    for (const int cap : {0, 3}) {
         HoverCandidateConfig cfg;
         cfg.delta_m = delta;
-        cfg.dedupe_identical_coverage = (flags & 1) == 0;
-        cfg.inflate_by_coverage = (flags & 2) != 0;
-        cfg.max_candidates = (flags & 4) != 0 ? 3 : 0;
+        cfg.max_candidates = cap;
         expect_matches_reference(inst, cfg,
-                                 tag + " flags " + std::to_string(flags));
+                                 tag + " cap " + std::to_string(cap));
     }
 }
 
@@ -383,11 +351,10 @@ TEST(HoverCandidates, MatchesReferenceOnDegenerateLayouts) {
                                        {{55.0, 105.0}, 300.0},
                                        {{105.0, 155.0}, 400.0}});
     expect_matches_reference_all_configs(axis, 10.0, "exactly R0 on an axis");
-    HoverCandidateConfig raw;
-    raw.delta_m = 10.0;
-    raw.dedupe_identical_coverage = false;
-    raw.max_candidates = 0;
-    const auto set = build_hover_candidates(axis, raw);
+    HoverCandidateConfig uncapped;
+    uncapped.delta_m = 10.0;
+    uncapped.max_candidates = 0;
+    const auto set = build_hover_candidates(axis, uncapped);
     const auto it = std::ranges::find(set.candidates, 210,
                                       &HoverCandidate::cell_id);
     ASSERT_NE(it, set.candidates.end());

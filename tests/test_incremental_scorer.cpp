@@ -35,7 +35,6 @@ namespace {
 
 using core::Algorithm2Config;
 using core::Algorithm3Config;
-using core::BenchmarkPlannerConfig;
 using core::GreedyCoveragePlanner;
 using core::InsertionCache;
 using core::InvertedCoverageIndex;
@@ -457,10 +456,8 @@ TEST(IncrementalEquivalence, PruneTspMatchesReferenceAcrossInstances) {
         if (trial % 2 == 0) inst.uav.energy_j *= 0.35;
         const auto ctx = PlanningContext::build(inst, hover_cfg(inst));
 
-        BenchmarkPlannerConfig cfg;
-        cfg.reoptimize_after_prune = trial % 3 != 0;
-        const auto ref = PruneTspOracle(cfg).plan(*ctx);
-        const auto inc = PruneTspPlanner(cfg).plan(*ctx);
+        const auto ref = PruneTspOracle().plan(*ctx);
+        const auto inc = PruneTspPlanner().plan(*ctx);
         expect_identical(ref, inc, "prune trial " + std::to_string(trial));
         total_prunes += ref.stats.iterations;
         if (::testing::Test::HasFailure()) break;

@@ -92,6 +92,9 @@ std::vector<Vec2> points(Family f, std::size_t n, std::uint64_t seed) {
 // Sizes on both sides of the exact matching limit (18 odd nodes) and of
 // reoptimize()'s neighbour-list switch (64 nodes).
 const std::size_t kSizes[] = {2, 3, 5, 12, 19, 24, 40, 63, 64, 65, 90, 130};
+static_assert(graph::kExactMatchingLimit ==
+                  oracle::ChristofidesConfig{}.exact_matching_limit,
+              "the served and frozen Christofides match at the same limit");
 
 void expect_same_edges(const std::vector<graph::Edge>& got,
                        const std::vector<graph::Edge>& want,
@@ -210,7 +213,7 @@ TEST(RetourOracle, NeighborListsRingBoundCoversCellRounding) {
 }
 
 TEST(RetourOracle, ChristofidesMatchesFrozenTour) {
-    graph::ChristofidesConfig bare;
+    oracle::ChristofidesConfig bare;
     bare.improve_two_opt = false;
     bare.improve_or_opt = false;
     for (const Family f : kFamilies) {
@@ -218,12 +221,13 @@ TEST(RetourOracle, ChristofidesMatchesFrozenTour) {
             for (std::uint64_t seed = 1; seed <= 3; ++seed) {
                 const auto pts = points(f, n, seed);
                 const DenseGraph g = DenseGraph::euclidean(pts);
-                EXPECT_EQ(graph::christofides_tour(g, 0),
-                          oracle::christofides_tour(g, 0))
-                    << name(f) << " n=" << n << " seed=" << seed;
-                EXPECT_EQ(graph::christofides_tour(g, 0, bare),
-                          oracle::christofides_tour(g, 0, bare))
+                auto tour = graph::christofides_tour(g, 0);
+                EXPECT_EQ(tour, oracle::christofides_tour(g, 0, bare))
                     << name(f) << " n=" << n << " seed=" << seed << " bare";
+                graph::two_opt(g, tour);
+                graph::or_opt(g, tour);
+                EXPECT_EQ(tour, oracle::christofides_tour(g, 0))
+                    << name(f) << " n=" << n << " seed=" << seed;
             }
         }
     }

@@ -976,10 +976,11 @@ TEST(Service, OutOfRangeWorkMultipliersAreBadRequests) {
 }
 
 TEST(Service, UnknownOptionKeysAreBadRequests) {
-    // An `options` key the schema does not list is refused at parse time,
-    // naming the key and the accepted ones, and the service goes on
-    // answering. "scoring" was an option once; a misspelt reduction key
-    // must not plan silently without its band.
+    // A key the schema does not list, in `options` or at top level, is
+    // refused at parse time, naming the key and the accepted ones, and the
+    // service goes on answering. "scoring" was an option once; a misspelt
+    // reduction key must not plan silently without its band, nor a
+    // misspelt deadline without its deadline.
     const auto inst = uavdc::testing::small_instance(12, 180.0, 93);
     std::ostringstream input;
     io::Json retired = to_json(make_request("retired", "alg2", inst));
@@ -989,6 +990,9 @@ TEST(Service, UnknownOptionKeysAreBadRequests) {
     misspelt["options"]["reduce"] = true;
     misspelt["options"]["reduce_bnad_m"] = 40.0;
     input << misspelt.dump() << "\n";
+    io::Json envelope = to_json(make_request("envelope", "alg2", inst));
+    envelope["dedline_ms"] = 0.001;
+    input << envelope.dump() << "\n";
     io::Json good = to_json(make_request("next", "alg2", inst));
     good["options"]["reduce"] = true;
     good["options"]["reduce_band_m"] = 40.0;
@@ -1016,8 +1020,106 @@ TEST(Service, UnknownOptionKeysAreBadRequests) {
             << error;
         EXPECT_NE(error.find("reduce_band_m"), std::string::npos) << error;
     }
+    const io::Json& resp = got.at("envelope");
+    const std::string error = resp.string_or("error", "");
+    EXPECT_EQ(resp.string_or("status", ""), "bad_request") << error;
+    EXPECT_NE(error.find("unknown request key 'dedline_ms'"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("deadline_ms"), std::string::npos) << error;
     EXPECT_EQ(got.at("next").string_or("status", ""), "ok");
     EXPECT_EQ(summary.stats.internal_errors, 0u);
+}
+
+TEST(Service, OutOfIntRangeFieldsAreBadRequests) {
+    // Range errors on wire input name the field in a plain bad_request,
+    // not in a contract-failure text that carries the source location.
+    const auto inst = uavdc::testing::small_instance(12, 180.0, 94);
+    std::ostringstream input;
+    io::Json priority = to_json(make_request("priority", "alg2", inst));
+    priority["priority"] = 1e12;
+    input << priority.dump() << "\n";
+    io::Json cap = to_json(make_request("max_candidates", "alg2", inst));
+    cap["options"]["max_candidates"] = 1e12;
+    input << cap.dump() << "\n";
+    input << to_json(make_request("next", "alg2", inst)).dump() << "\n";
+
+    JsonlConfig cfg;
+    cfg.service.workers = 1;
+    cfg.service.defaults = fast_options();
+    std::istringstream in(input.str());
+    std::ostringstream out;
+    const JsonlSummary summary = serve_jsonl(in, out, cfg);
+
+    std::map<std::string, io::Json> got;
+    for (auto& doc : parse_lines(out.str())) {
+        got[doc.string_or("id", "")] = std::move(doc);
+    }
+    for (const std::string field : {"priority", "max_candidates"}) {
+        const io::Json& resp = got.at(field);
+        const std::string error = resp.string_or("error", "");
+        EXPECT_EQ(resp.string_or("status", ""), "bad_request") << error;
+        EXPECT_NE(error.find("'" + field + "' out of int range"),
+                  std::string::npos)
+            << error;
+        EXPECT_EQ(error.find(".cpp"), std::string::npos) << error;
+    }
+    EXPECT_EQ(got.at("next").string_or("status", ""), "ok");
+    EXPECT_EQ(summary.stats.internal_errors, 0u);
+}
+
+TEST(Service, PlanningContentHashesArePinned) {
+    // The instance fingerprint (which -0.0 does not change), the
+    // collision check hash (which it does), the context fingerprint and
+    // the canonical options string, as earlier builds computed them:
+    // cache keys and repository logs depend on these values.
+    model::Instance inst;
+    inst.name = "pinned";
+    inst.region = geom::Aabb{{0.0, 0.0}, {120.0, 80.0}};
+    inst.depot = {0.0, 7.5};
+    inst.devices = {{0, {10.25, 20.5}, 300.0},
+                    {1, {100.0, 60.125}, 42.5},
+                    {2, {55.5, 0.0}, 1.0e-3}};
+    inst.uav.energy_j = 2.5e4;
+    inst.uav.travel_energy_model = model::TravelEnergyModel::kPerSecond;
+    inst.uav.coverage_radius_m = 35.0;
+    model::Instance negzero = inst;
+    negzero.depot.x = -0.0;
+    negzero.devices[2].pos.y = -0.0;
+
+    using core::PlanningContext;
+    EXPECT_EQ(fingerprint_to_hex(PlanningContext::instance_fingerprint(inst)),
+              "0642f613f0b53a51");
+    EXPECT_EQ(
+        fingerprint_to_hex(PlanningContext::instance_fingerprint(negzero)),
+        "0642f613f0b53a51");
+    EXPECT_EQ(fingerprint_to_hex(instance_check_hash(inst)),
+              "03225e746e828374");
+    EXPECT_EQ(fingerprint_to_hex(instance_check_hash(negzero)),
+              "04c2c66367733074");
+    EXPECT_EQ(fingerprint_to_hex(PlanningContext::config_fingerprint({})),
+              "1fb772e0d6d585af");
+    EXPECT_EQ(fingerprint_to_hex(PlanningContext(inst).fingerprint()),
+              "33a19e7f0cd1fc32");
+    core::PlannerOptions opts;
+    opts.reduction.dominance = true;
+    EXPECT_EQ(canonical_options("alg2", opts),
+              "alg2;d=4024000000000000;mc=4000;k=2;gi=8;sc=0;so=2;rd=1;"
+              "rr=0000000000000000;rs=0000000000000000;rc=1;"
+              "rb=0000000000000000;rk=0");
+
+    // Content equality is `==`: the -0.0 variant resubmitted inline is the
+    // registered instance, not a fingerprint collision.
+    PlanService::Config cfg;
+    cfg.workers = 1;
+    cfg.defaults = fast_options();
+    PlanService svc(cfg);
+    ASSERT_EQ(svc.execute(make_request("a", "alg2", inst)).status,
+              ResponseStatus::kOk);
+    const PlanResponse resp = svc.execute(make_request("b", "alg2", negzero));
+    EXPECT_EQ(resp.status, ResponseStatus::kOk) << resp.error;
+    EXPECT_TRUE(resp.cache_hit);
+    svc.shutdown();
 }
 
 /// `response_line` is the one response serializer: its bytes must be the

@@ -30,7 +30,6 @@ namespace {
 
 using core::Algorithm2Config;
 using core::Algorithm3Config;
-using core::BenchmarkPlannerConfig;
 using core::GreedyCoveragePlanner;
 using core::PartialCollectionPlanner;
 using core::PlanningContext;
@@ -117,9 +116,8 @@ TEST(SqrtDeferralFuzz, HundredSeedsPrunedMatchesReference) {
                 break;
             }
             default: {
-                const BenchmarkPlannerConfig cfg;
-                by_engine[0] = PruneTspOracle(cfg).plan(*ctx);
-                by_engine[1] = PruneTspPlanner(cfg).plan(*ctx);
+                by_engine[0] = PruneTspOracle().plan(*ctx);
+                by_engine[1] = PruneTspPlanner().plan(*ctx);
                 algo = "benchmark";
                 break;
             }
